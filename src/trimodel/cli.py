@@ -13,9 +13,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from . import addcat as ac
 from . import d4scenario, endalg, meshcat, oracle
 from .exactlin import PrimeField
 from .meshcat import QuiverError, ValidationError

@@ -8,10 +8,16 @@ the defining relations are the mesh relations, one per vertex x,
 
 Hom spaces are spans of paths modulo the ideal generated by these relations.
 The ideal is homogeneous in path length, so each Hom space is built level by
-level: at each length the relation vectors are row reduced and the surviving
-paths become basis classes.  Once a whole level dies, every longer level dies
-too (any longer path factors through a dead one), which gives the stopping
-rule and the radical length.
+level: at each length the mesh relations of that length form one matrix over
+the paths, which is brought to reduced row echelon form.  The non-pivot paths
+become basis classes, and each pivot path equals minus the non-pivot part of
+its row, so the coordinates of every path are read off in one slice.  Once a
+whole level dies, every longer level dies too (any longer path factors through
+a dead one), which gives the stopping rule and the radical length.
+
+``validate`` checks the mesh relations and associativity exhaustively; the
+associativity equations are checked for all source vertices at once, which is
+the same equation set as checking each chain of Hom spaces separately.
 
 Builders are provided for the polygon presentation of type A and for the
 knitted presentation of an arbitrary simply laced Dynkin quiver (module
@@ -135,6 +141,8 @@ class MeshCategory:
             self._out[v].sort(key=lambda i: (self.arrows[i][1], self.arrows[i][2]))
             self._in[v].sort(key=lambda i: (self.arrows[i][0], self.arrows[i][2]))
         self.signs = signs
+        # per vertex x: the mesh pairs (b, a) and their sign coefficients
+        self._mesh = {x: self._mesh_pairs(x) for x in self.verts}
         self._build_hom(max_len_cap)
         self._build_comp()
         self._build_sigma()
@@ -142,16 +150,19 @@ class MeshCategory:
     # ------------------------------------------------------------------ build
 
     def _mesh_pairs(self, x: str):
-        """For each arrow a: y -> x, the paired arrow tau x -> y."""
+        """For each arrow a: y -> x, the paired arrow tau x -> y, as the
+        middle (b, a) of a mesh path, with the sign coefficient of the pair."""
         tx = self.quiver.tau[x]
-        pairs = []
-        for a in self._in[x]:
+        mids, coeffs = [], []
+        for pos, a in enumerate(self._in[x]):
             y = self.arrows[a][0]
             b = self._arrow_by_pair.get((tx, y))
             if b is None:
                 raise ValidationError(f"mesh structure violated at vertex {x!r}")
-            pairs.append((b, a))
-        return pairs
+            mids.append((b, a))
+            alternate = self.signs == "alternating" and pos % 2 == 1
+            coeffs.append(self.field.p - 1 if alternate else 1)
+        return mids, coeffs
 
     def _build_hom(self, cap: int) -> None:
         p = self.field.p
@@ -199,12 +210,14 @@ class MeshCategory:
         self._paths = paths
 
     def _relation_rows(self, u: str, v: str, length: int, plist, paths, p: int):
-        """Mesh ideal elements of the given length from u to v, as vectors."""
+        """Mesh ideal elements of the given length from u to v, as the rows
+        of one matrix over the paths in plist (None when there are none)."""
         index = {pp: k for k, pp in enumerate(plist)}
-        rows = []
+        row_idx, col_idx, vals = [], [], []
+        n_rows = 0
         for x in self.verts:
             tx = self.quiver.tau[x]
-            pairs = self._mesh_pairs(x)
+            mids, coeffs = self._mesh[x]
             for i in range(length - 1):
                 left = paths[i].get((u, tx), ())
                 right = paths[length - 2 - i].get((x, v), ())
@@ -212,47 +225,36 @@ class MeshCategory:
                     continue
                 for r in left:
                     for q in right:
-                        vec = np.zeros(len(plist), dtype=np.int64)
-                        for pos, (b, a) in enumerate(pairs):
-                            coeff = 1
-                            if self.signs == "alternating" and pos % 2 == 1:
-                                coeff = p - 1
-                            vec[index[r + (b, a) + q]] += coeff
-                        rows.append(vec % p)
-        return rows
+                        row_idx.extend([n_rows] * len(mids))
+                        col_idx.extend(index[r + mid + q] for mid in mids)
+                        vals.extend(coeffs)
+                        n_rows += 1
+        if not n_rows:
+            return None
+        rows = np.zeros((n_rows, len(plist)), dtype=np.int64)
+        np.add.at(rows, (row_idx, col_idx), vals)
+        return rows % p
 
     def _reduce_level(self, u, v, length, plist, paths, p) -> int:
         if not plist:
             return 0
-        if length < 2:
-            rows = []
-        else:
-            rows = self._relation_rows(u, v, length, plist, paths, p)
-        if rows:
-            red, pivots = array_rref(np.stack(rows), p)
-            pivot_set = set(pivots)
-        else:
-            red, pivots, pivot_set = np.zeros((0, len(plist)), dtype=np.int64), [], set()
-        free = [k for k in range(len(plist)) if k not in pivot_set]
+        n = len(plist)
+        rows = self._relation_rows(u, v, length, plist, paths, p)
+        pivots = []
+        if rows is not None:
+            red, pivots = array_rref(rows, p)
+        pivot_set = set(pivots)
+        free = [k for k in range(n) if k not in pivot_set]
         offset = len(self.basis[(u, v)])
         self.basis[(u, v)].extend(plist[k] for k in free)
-        total = offset + len(free)
-        # coordinates of each level path over the surviving classes
-        free_pos = {k: offset + j for j, k in enumerate(free)}
-        for k, pp in enumerate(plist):
-            vec = np.zeros(total, dtype=np.int64)
-            if k in free_pos:
-                vec[free_pos[k]] = 1
-            else:
-                e = np.zeros(len(plist), dtype=np.int64)
-                e[k] = 1
-                for row, c in zip(red, pivots):
-                    if e[c]:
-                        e = (e - e[c] * row) % p
-                for j, kk in enumerate(free):
-                    vec[offset + j] = e[kk]
-            self._red[(u, v)][pp] = vec
-        # earlier levels: pad stored vectors to the new total on demand
+        # coordinates of each level path over the surviving classes: a free
+        # path is its own class; since red is in RREF, pivot path c_i equals
+        # minus the free part of row i
+        coords = np.zeros((n, offset + len(free)), dtype=np.int64)
+        coords[free, offset + np.arange(len(free))] = 1
+        if pivots:
+            coords[pivots, offset:] = -red[: len(pivots), free] % p
+        self._red[(u, v)].update(zip(plist, coords))
         return len(free)
 
     def reduce_path(self, u: str, v: str, path: Path) -> np.ndarray:
@@ -312,7 +314,12 @@ class MeshCategory:
     # ------------------------------------------------------------- validation
 
     def validate(self) -> None:
-        """Check the structural invariants; raises ValidationError."""
+        """Check the structural invariants; raises ValidationError.
+
+        Each End(v) is spanned by the identity path, every mesh relation
+        reduces to zero, and composition is associative on every chain of
+        nonzero Hom spaces u -> v -> w -> z (see _check_associativity).
+        """
         p = self.field.p
         for v in self.verts:
             if len(self.basis[(v, v)]) != 1:
@@ -324,48 +331,70 @@ class MeshCategory:
         for x in self.verts:
             tx = self.quiver.tau[x]
             total = np.zeros(len(self.basis[(tx, x)]), dtype=np.int64)
-            for pos, (b, a) in enumerate(self._mesh_pairs(x)):
-                coeff = 1
-                if self.signs == "alternating" and pos % 2 == 1:
-                    coeff = p - 1
-                total = total + coeff * self.reduce_path(tx, x, (b, a))
+            for mid, coeff in zip(*self._mesh[x]):
+                total = total + coeff * self.reduce_path(tx, x, mid)
             if np.any(total % p):
                 raise ValidationError(f"mesh relation at {x!r} does not vanish")
         self._check_associativity()
 
-    def comp_tensor(self, u: str, v: str, w: str) -> np.ndarray:
-        """Composition tensor for Hom(u,v) x Hom(v,w), zeros when absent."""
-        t = self.comp.get((u, v, w))
-        if t is None:
-            t = np.zeros(
-                (len(self.basis[(v, w)]), len(self.basis[(u, v)]),
-                 len(self.basis[(u, w)])),
-                dtype=np.int64,
-            )
-        return t
-
     def _check_associativity(self) -> None:
+        """h . (g . f) = (h . g) . f on basis classes, for every chain
+        u -> v -> w -> z of nonzero Hom spaces; raises ValidationError
+        naming a failing chain.
+
+        The check is batched over the source u.  For each nonzero Hom(v, w),
+        lam[(v, w)] holds comp[(u, v, w)] as block u of a tensor that is
+        block diagonal over u, of shape
+        (dim Hom(v, w), sum_u dim Hom(u, v), sum_u dim Hom(u, w)).
+        For each z with Hom(w, z) nonzero, one comparison mod p of
+            einsum("gab,hbc->hgac", lam[(v, w)], lam[(w, z)])
+            einsum("hgq,qac->hgac", comp[(v, w, z)], lam[(v, z)])
+        checks every chain u -> v -> w -> z at once: block u of the two
+        sides is h . (g . f) and (h . g) . f for that u, and the blocks off
+        the diagonal are zero on both sides.  So it is the same equation set
+        as checking chain by chain, with one comparison per (v, w, z).
+        """
         p = self.field.p
-        nonzero = [(u, v) for (u, v), b in self.basis.items() if b]
+        V = self.verts
+        # starts[u, v]: first index of block u among the sum_u Hom(u, v)
+        # indices; starts[-1, v] is that sum
+        starts = np.zeros((len(V) + 1, len(V)), dtype=np.int64)
+        np.cumsum(self.dims, axis=0, out=starts[1:])
+        total = starts[-1]
+        lam: dict[tuple[str, str], np.ndarray] = {}
+        for (u, v, w), t in self.comp.items():
+            big = lam.get((v, w))
+            if big is None:
+                big = lam[(v, w)] = np.zeros(
+                    (t.shape[0], total[self.vidx[v]], total[self.vidx[w]]),
+                    dtype=np.int64,
+                )
+            a0 = starts[self.vidx[u], self.vidx[v]]
+            b0 = starts[self.vidx[u], self.vidx[w]]
+            big[:, a0:a0 + t.shape[1], b0:b0 + t.shape[2]] = t
         succ: dict[str, list[str]] = {}
-        for u, v in nonzero:
-            succ.setdefault(u, []).append(v)
-        for u, v in nonzero:
-            for w in succ.get(v, ()):
-                c_uvw = self.comp[(u, v, w)]
-                for z in succ.get(w, ()):
-                    lhs = np.einsum(
-                        "gfk,hkm->hgfm", c_uvw, self.comp_tensor(u, w, z)
+        for v, w in lam:
+            succ.setdefault(v, []).append(w)
+        for (v, w), lam_vw in lam.items():
+            for z in succ.get(w, ()):
+                lam_vz = lam.get((v, z))
+                if lam_vz is None:
+                    lam_vz = np.zeros(
+                        (0, total[self.vidx[v]], total[self.vidx[z]]),
+                        dtype=np.int64,
                     )
-                    rhs = np.einsum(
-                        "hgq,qfm->hgfm", self.comp[(v, w, z)],
-                        self.comp_tensor(u, v, z),
+                lhs = np.einsum("gab,hbc->hgac", lam_vw, lam[(w, z)])
+                rhs = np.einsum("hgq,qac->hgac", self.comp[(v, w, z)], lam_vz)
+                diff = (lhs - rhs) % p
+                if diff.any():
+                    # the block of sum_u Hom(u, v) that holds the first bad row
+                    a = np.nonzero(diff.any(axis=(0, 1, 3)))[0][0]
+                    iu = int(np.searchsorted(
+                        starts[:, self.vidx[v]], a, side="right")) - 1
+                    raise ValidationError(
+                        f"associativity fails on Hom chain "
+                        f"{V[iu]!r} -> {v!r} -> {w!r} -> {z!r}"
                     )
-                    if np.any((lhs - rhs) % p):
-                        raise ValidationError(
-                            f"associativity fails on Hom chain "
-                            f"{u!r} -> {v!r} -> {w!r} -> {z!r}"
-                        )
 
     def check_stabilization(self) -> bool:
         """Recompute with the length cap raised by one; dims must agree."""

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -91,6 +93,107 @@ def test_stabilization(n):
 
 def test_validate_runs(pentagon):
     pentagon.validate()
+
+
+def chain_by_chain_failures(cat):
+    """Reference associativity check: every 4-chain u -> v -> w -> z of
+    nonzero Hom spaces on which h . (g . f) != (h . g) . f."""
+    p = cat.field.p
+
+    def comp_tensor(u, v, w):
+        return cat.comp.get((u, v, w), np.zeros(
+            (cat.hom_dim(v, w), cat.hom_dim(u, v), cat.hom_dim(u, w)),
+            dtype=np.int64))
+
+    nonzero = [(u, v) for (u, v), b in cat.basis.items() if b]
+    succ = {}
+    for u, v in nonzero:
+        succ.setdefault(u, []).append(v)
+    failures = []
+    for u, v in nonzero:
+        for w in succ.get(v, ()):
+            c_uvw = cat.comp[(u, v, w)]
+            for z in succ.get(w, ()):
+                lhs = np.einsum("gfk,hkm->hgfm", c_uvw,
+                                comp_tensor(u, w, z))
+                rhs = np.einsum("hgq,qfm->hgfm", cat.comp[(v, w, z)],
+                                comp_tensor(u, v, z))
+                if np.any((lhs - rhs) % p):
+                    failures.append((u, v, w, z))
+    return failures
+
+
+@pytest.mark.parametrize("n,p", [(2, 2), (3, 3)])
+def test_associativity_matches_chain_by_chain_on_corruptions(n, p):
+    """Batched check and the chain-by-chain reference agree on every
+    single-entry corruption of comp, and the error names a failing chain."""
+    cat = mc.build_type_a(n, PrimeField(p))
+    assert chain_by_chain_failures(cat) == []
+    caught = total = 0
+    for key in sorted(cat.comp):
+        t = cat.comp[key]
+        for idx in itertools.product(*map(range, t.shape)):
+            old = t[idx]
+            t[idx] = (old + 1) % p
+            try:
+                failures = chain_by_chain_failures(cat)
+                if failures:
+                    with pytest.raises(mc.ValidationError,
+                                       match="associativity fails") as exc:
+                        cat._check_associativity()
+                    named = tuple(exc.value.args[0].split(" chain ")[1]
+                                  .replace("'", "").split(" -> "))
+                    assert named in failures
+                    caught += 1
+                else:
+                    cat._check_associativity()
+            finally:
+                t[idx] = old
+            total += 1
+    assert total == sum(t.size for t in cat.comp.values())
+    assert 0 < caught < total
+
+
+def _tensors_digest(tensors):
+    h = hashlib.sha256()
+    for key in sorted(tensors):
+        t = tensors[key]
+        h.update(repr((key, t.dtype.str, t.shape)).encode())
+        h.update(np.ascontiguousarray(t).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _basis_digest(basis):
+    data = sorted((list(k), [list(pp) for pp in v]) for k, v in basis.items())
+    return hashlib.sha256(json.dumps(data).encode()).hexdigest()[:16]
+
+
+# sha256 prefixes of basis, comp and sigma_map, recorded from the
+# path-by-path level reduction and chain-by-chain associativity check
+BUILD_DIGESTS = {
+    ("A4", 2): ("ed1b6f6489901564", "9df33635b5570866", "866355257c3f8080"),
+    ("A4", 3): ("ed1b6f6489901564", "c31ea764926e0c7b", "45b5976e76e594ef"),
+    ("D4", 2): ("0c4152135deb782b", "5a65013145d56343", "799bd0102b209225"),
+    ("D4", 3): ("0c4152135deb782b", "d300ac4f77591401", "5927093f559e51e5"),
+    ("D5", 3): ("a38bd832ceb95205", "6cd9d0fbdd01d106", "4e3fe2c77b634af4"),
+}
+
+
+@pytest.mark.parametrize("kind,p", sorted(BUILD_DIGESTS))
+def test_build_is_byte_identical(kind, p):
+    field = PrimeField(p)
+    if kind == "A4":
+        cat = mc.build_type_a(4, field)
+    elif kind == "D4":
+        cat = mc.build_dynkin(mc.dynkin_d4_subspace(), field)
+    else:
+        cat = mc.build_dynkin(
+            mc.make_dynkin(["0", "1", "2", "3", "4"],
+                           [("1", "0"), ("2", "0"), ("3", "0"), ("3", "4")]),
+            field)
+    cat.validate()
+    assert (_basis_digest(cat.basis), _tensors_digest(cat.comp),
+            _tensors_digest(cat.sigma_map)) == BUILD_DIGESTS[(kind, p)]
 
 
 def test_dynkin_a2_matches_polygon(pentagon):
