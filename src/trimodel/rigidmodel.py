@@ -148,9 +148,7 @@ class RigidStructure:
         p = cat.field.p
         d = cat.hom_dim(u, v)
         rows = []
-        # a zero Hom(u, v) has only the zero ideal (comp keeps zero-width
-        # tensors into it, which cannot be reshaped to d == 0 columns)
-        for w in self.subcat(key) if d else ():
+        for w in self.subcat(key):
             t1 = cat.comp.get((u, w, v))
             if t1 is None:
                 continue

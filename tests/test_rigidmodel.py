@@ -55,16 +55,6 @@ def test_ideal_membership_zero_and_arrow(cat, rigid):
     assert not rigid.ideal_membership(arrow, "perp")
 
 
-def test_ideal_dim_of_zero_hom_pair(cat):
-    # Hom(13, 24) = 0 but Hom(13, 14) and Hom(14, 24) are not, so comp
-    # holds a zero-width tensor through 14 = T
-    assert cat.hom_dim("13", "24") == 0
-    assert cat.comp[("13", "14", "24")].shape == (1, 1, 0)
-    r = rm.build_rigid(cat, ["14"])
-    for key in ("T", "sigmaT", "perp"):
-        assert r.ideal_dim_pair(key, "13", "24") == 0
-
-
 def test_ideal_membership_through_perp_object(cat, rigid):
     # 25 lies in the perpendicular subcategory, so its identity is in the ideal
     id25 = ac.identity(cat, ac.obj("25"))
