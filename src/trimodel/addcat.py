@@ -382,27 +382,12 @@ def find_retraction(f: Mor):
     return vec_to_mor(cat, f.cod, f.dom, x)
 
 
-def find_section(f: Mor):
-    """Some s with f . s = id(cod f), or None."""
-    cat = f.cat
-    a = left_mul_matrix(f, f.cod)
-    rhs = mor_to_vec(identity(cat, f.cod))
-    x = array_solve(a, rhs, cat.field.p)
-    if x is None:
-        return None
-    return vec_to_mor(cat, f.cod, f.dom, x)
-
-
 def hom_fingerprint(cat: MeshCategory, x: Obj) -> np.ndarray:
     """(dim Hom(v, x))_v over the vertex order of the category."""
     fp = np.zeros(len(cat.verts), dtype=np.int64)
     for s in x.summands:
         fp += cat.dims[:, cat.vidx[s]]
     return fp
-
-
-def count_morphisms(cat: MeshCategory, x: Obj, y: Obj) -> int:
-    return cat.field.p ** hom_space_dim(cat, x, y)
 
 
 def enumerate_morphisms(cat: MeshCategory, x: Obj, y: Obj,

@@ -20,7 +20,6 @@ lifting checks.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np

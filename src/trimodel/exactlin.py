@@ -8,7 +8,9 @@ equality is an honest equality (no tolerances anywhere).
 Two layers are provided: array-level functions (``array_rref``,
 ``array_rank``, ...) that carry the characteristic explicitly and are used on
 hot paths, and the small ``Mat`` wrapper bundling a ``PrimeField`` for code
-that wants self-describing values.
+that wants self-describing values.  ``batch_rank`` takes the ranks of a
+whole (n, r, c) stack of matrices at once, for searches that test many
+morphisms of one Hom space together.
 """
 
 from __future__ import annotations
@@ -219,6 +221,51 @@ def fast_rank(a, p: int) -> int:
         rank += 1
         if rank == len(rows):
             break
+    return rank
+
+
+def batch_rank(stack, p: int) -> np.ndarray:
+    """Rank of every matrix in an (n, r, c) stack, as an int64 array.
+
+    Elimination runs one column at a time, vectorized across the stack: the
+    first row holding the column is the pivot, it is cleared out of every
+    row holding the column (itself included, which retires it), and each
+    matrix with a pivot gains one rank.  For p = 2 the shorter side is
+    packed into int64 words and rows are cleared by xor, as in M4RI; a
+    stack whose sides both exceed 62 falls back to ``fast_rank`` per matrix.
+    """
+    m = np.asarray(stack, dtype=np.int64)
+    if m.ndim != 3:
+        raise ValueError(f"expected an (n, r, c) stack, got shape {m.shape}")
+    n, r, c = m.shape
+    rank = np.zeros(n, dtype=np.int64)
+    if n == 0 or r == 0 or c == 0:
+        return rank
+    if c > r:
+        m, r, c = m.transpose(0, 2, 1), c, r
+    at = np.arange(n)
+    if p == 2:
+        if c > 62:
+            return np.array([fast_rank(a, 2) for a in m], dtype=np.int64)
+        pows = _POW2_CACHE.get(c)
+        if pows is None:
+            pows = _POW2_CACHE[c] = 1 << np.arange(c, dtype=np.int64)
+        words = (m & 1) @ pows
+        for k in range(c):
+            hold = (words >> k) & 1
+            pivot = words[at, hold.argmax(axis=1)]
+            words ^= hold * pivot[:, None]
+            rank += hold.any(axis=1)
+        return rank
+    m = m % p
+    inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
+    for k in range(c):
+        col = m[:, :, k]
+        hold = col != 0
+        pivot = m[at, hold.argmax(axis=1)]
+        pivot = pivot * inv[pivot[:, k]][:, None] % p
+        m = (m - col[:, :, None] * pivot[:, None, :]) % p
+        rank += hold.any(axis=1)
     return rank
 
 

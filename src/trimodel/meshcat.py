@@ -31,7 +31,6 @@ classes used by the additive layer.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -207,7 +206,6 @@ class MeshCategory:
         self.dims = np.zeros((len(V), len(V)), dtype=np.int64)
         for (u, v), b in self.basis.items():
             self.dims[self.vidx[u], self.vidx[v]] = len(b)
-        self._paths = paths
 
     def _relation_rows(self, u: str, v: str, length: int, plist, paths, p: int):
         """Mesh ideal elements of the given length from u to v, as the rows

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import addcat as ac
 from .addcat import Mor, Obj
-from .exactlin import array_kernel, fast_rank
+from .exactlin import array_kernel, array_solve, fast_rank
 from .meshcat import MeshCategory
 from .report import Report, mor_to_json
 from .rigidmodel import RigidStructure
@@ -379,7 +379,6 @@ def run_axiom_suite(cat: MeshCategory, rigid: RigidStructure,
             a_mor = ac.compose(top, c)
             b_mor = ac.compose(pb, c)
             vec = np.concatenate([ac.mor_to_vec(a_mor), ac.mor_to_vec(b_mor)])
-            from .exactlin import array_solve
             sol = array_solve(m, vec, p)
             if sol is None or not np.array_equal(
                     sol % p, ac.mor_to_vec(c) % p):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .addcat import Mor, Obj, vec_to_mor
+from .addcat import Mor, Obj
 from .meshcat import MeshCategory
 
 VERSION = "0.1.0"

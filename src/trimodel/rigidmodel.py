@@ -6,7 +6,9 @@ derives the whole verification surface:
 
   * ideals of morphisms factoring through a subcategory, decided blockwise
     by span membership per vertex pair;
-  * left/right approximations (tautological and greedily minimized);
+  * left/right approximations (tautological and greedily minimized, the
+    minimization done on the matrices of Hom(u, -) with one column group per
+    summand);
   * the four morphism classes: weak equivalences (Hom(t, -) applied to the
     morphism is bijective for every t in T), fibrations (Hom(sigma t, -)
     surjective), trivial fibrations (both), and weak cofibrations (split
@@ -17,21 +19,26 @@ derives the whole verification surface:
     the indecomposable cones generate the whole list);
   * cylinders, path objects, right homotopies, homotopy inverses;
   * both factorizations and cofibrant replacements, each returned with
-    certified factors and exact composite equality.
+    certified factors and exact composite equality.  The replacement search
+    tests a candidate's morphisms in chunks, in the same enumeration order
+    as a one-by-one search, through batched ranks of Hom(w, q) for w in T
+    and sigma T; the winner is certified by ``classify``.
+
+Tautological and minimal approximations for the named subcategories and
+cofibrant replacements are memoized per object on the ``RigidStructure``,
+so they live and die with it; callers must not mutate what they return.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import addcat as ac
 from .addcat import Mor, Obj
-from .exactlin import array_rank, array_rref, array_solve, fast_rank
+from .exactlin import array_rref, array_solve, batch_rank, fast_rank
 from .meshcat import MeshCategory
 
 
@@ -122,6 +129,10 @@ class RigidStructure:
             if all(cat.hom_dim(t, u) == 0 for t in self.t_ind)
         )
         self._ideal_cache: dict = {}
+        self._taut_cache: dict = {}
+        self._approx_cache: dict = {}
+        self._replacement_cache: dict = {}
+        self._ts_t_dims: list = []    # _t_dims of a prefix of ts_list
         self.crosscheck_disagreements: list[str] = []
         self._enumerate_ts()
 
@@ -220,13 +231,11 @@ class RigidStructure:
         """Right: bundle a basis of every Hom(u, x), u in the subcategory;
         left: dual.  Approximation property holds by construction."""
         if isinstance(key, str):
-            cache = getattr(self, "_taut_cache", None)
-            if cache is None:
-                cache = self._taut_cache = {}
             ck = (x.summands, side, key)
-            hit = cache.get(ck)
+            hit = self._taut_cache.get(ck)
             if hit is None:
-                hit = cache[ck] = self._tautological_approx(x, side, key)
+                hit = self._taut_cache[ck] = \
+                    self._tautological_approx(x, side, key)
             return hit
         return self._tautological_approx(x, side, key)
 
@@ -285,34 +294,64 @@ class RigidStructure:
 
         The tautological bundle is the correctness anchor; minimization drops
         summand copies greedily in vertex-then-copy order while the
-        approximation property survives.
+        approximation property survives.  Minimal approximations for a named
+        subcategory are memoized per object; callers must not mutate them.
         """
         f = self.tautological_approx(x, side, key)
         if not minimize:
             return f
+        if not isinstance(key, str):
+            return self._minimize(f, side, key)
+        ck = (x.summands, side, key)
+        hit = self._approx_cache.get(ck)
+        if hit is None:
+            hit = self._approx_cache[ck] = self._minimize(f, side, key)
+        return hit
+
+    def _minimize(self, f: Mor, side: str, key) -> Mor:
+        """Greedy minimization of an approximation f, on matrices.
+
+        For each u in the subcategory, Hom(u, f) (right side) or Hom(f, u)
+        (left side) has one column group per summand of the approximating
+        object, so dropping summand k deletes group k, and f stays an
+        approximation iff every such matrix keeps full row rank.  Dropping
+        more only lowers a rank, so a summand whose drop once failed can
+        never be dropped later, and one forward pass makes the same drops as
+        rescanning from the first summand after each drop would.
+        """
         cat = self.cat
-        while True:
-            a = f.dom if side == "right" else f.cod
-            dropped = False
-            for drop in range(len(a.summands)):
-                keep = [k for k in range(len(a.summands)) if k != drop]
-                new_a = Obj(tuple(a.summands[k] for k in keep))
-                if side == "right":
-                    g = Mor(cat, new_a, x)
-                    for (i, j), vec in f.blocks.items():
-                        if j != drop:
-                            g.set_block(i, keep.index(j), vec)
-                else:
-                    g = Mor(cat, x, new_a)
-                    for (i, j), vec in f.blocks.items():
-                        if i != drop:
-                            g.set_block(keep.index(i), j, vec)
-                if self.is_approximation(g, side, key):
-                    f = g
-                    dropped = True
-                    break
-            if not dropped:
-                return f
+        p = cat.field.p
+        right = side == "right"
+        a = f.dom if right else f.cod
+        checks = []
+        for u in self.subcat(key):
+            uo = Obj((u,))
+            if right:
+                m = ac.left_mul_matrix(f, uo)
+                layout = ac.hom_layout(cat, uo, a)[0]
+            else:
+                m = ac.right_mul_matrix(f, uo)
+                layout = ac.hom_layout(cat, a, uo)[0]
+            group = np.empty(m.shape[1], dtype=np.int64)
+            for ij, off, d in layout:
+                group[off:off + d] = ij[0] if right else ij[1]
+            checks.append((m, group))
+        keep = np.ones(len(a), dtype=bool)
+        for k in range(len(a)):
+            keep[k] = False
+            if not all(fast_rank(m[:, keep[group]], p) == m.shape[0]
+                       for m, group in checks):
+                keep[k] = True
+        kept = np.flatnonzero(keep).tolist()
+        new = {old: i for i, old in enumerate(kept)}
+        b = Obj(tuple(a.summands[k] for k in kept))
+        if right:
+            return Mor(cat, b, f.cod, {(i, new[j]): vec
+                                       for (i, j), vec in f.blocks.items()
+                                       if j in new})
+        return Mor(cat, f.dom, b, {(new[i], j): vec
+                                   for (i, j), vec in f.blocks.items()
+                                   if i in new})
 
     # ---------------------------------------------------------- morphism classes
 
@@ -365,21 +404,6 @@ class RigidStructure:
                 for k in range(cat.hom_dim(v1, v0)):
                     coords.append((i, j, k))
         return coords
-
-    def _cone_fingerprint(self, alpha: Mor) -> np.ndarray:
-        """dim Hom(u, cone alpha) for every vertex u, from the long exact
-        sequence: coker of Hom(u, alpha) plus kernel of Hom(u, sigma alpha)."""
-        cat = self.cat
-        p = cat.field.p
-        salpha = ac.sigma_mor(alpha)
-        fp = np.zeros(len(cat.verts), dtype=np.int64)
-        for ui, u in enumerate(cat.verts):
-            uo = Obj((u,))
-            m1 = ac.left_mul_matrix(alpha, uo)
-            m2 = ac.left_mul_matrix(salpha, uo)
-            fp[ui] = (m1.shape[0] - fast_rank(m1, p)) \
-                + (m2.shape[1] - fast_rank(m2, p))
-        return fp
 
     def _cone_tensors(self, t1: tuple, t0: tuple):
         """Radical-coordinate tensors for batched cone fingerprints.
@@ -474,30 +498,6 @@ class RigidStructure:
             fp[wi] = (m1.shape[1] - fast_rank(m1, p)) \
                 + (m2.shape[0] - fast_rank(m2, p))
         return fp
-
-    def _fp_matrix_invertible(self) -> bool:
-        """Whether the vertex-fingerprint matrix is invertible over Q
-        (it need not be; e.g. it is singular in type D)."""
-        cached = getattr(self.cat, "_fp_invertible", None)
-        if cached is None:
-            n = len(self.cat.verts)
-            a = [[Fraction(int(self.cat.dims[i, j])) for j in range(n)]
-                 for i in range(n)]
-            r = 0
-            for c in range(n):
-                piv = next((i for i in range(r, n) if a[i][c] != 0), None)
-                if piv is None:
-                    continue
-                a[r], a[piv] = a[piv], a[r]
-                inv = 1 / a[r][c]
-                a[r] = [x * inv for x in a[r]]
-                for i in range(n):
-                    if i != r and a[i][c] != 0:
-                        fac = a[i][c]
-                        a[i] = [x - fac * y for x, y in zip(a[i], a[r])]
-                r += 1
-            cached = self.cat._fp_invertible = (r == n)
-        return cached
 
     def _fingerprint_solutions(self, fp: np.ndarray, limit: int = 3,
                                allowed=None) -> list[tuple]:
@@ -891,30 +891,102 @@ class RigidStructure:
 
         Candidates are filtered by the Hom(t, -) dimension fingerprint and
         searched in size order, so the first hit is minimal by summand count
-        with lexicographic tie-breaking."""
+        with lexicographic tie-breaking.  Within a candidate the morphisms are
+        tried in lexicographic coefficient order (seeded draws beyond
+        ``enum_exp_cap``), many at once, and the first trivial fibration is
+        the answer; it is certified by ``classify`` before it is returned.
+        Results are memoized per object; callers must not mutate them.
+        """
+        hit = self._replacement_cache.get(x.summands)
+        if hit is None:
+            hit = self._replacement_cache[x.summands] = \
+                self._cofibrant_replacement(x)
+        return hit
+
+    def _cofibrant_replacement(self, x: Obj) -> tuple[Obj, Mor]:
         cat = self.cat
-        p = cat.field.p
         if self.is_cofibrant(x):
             return x, ac.identity(cat, x)
-        want = [sum(cat.hom_dim(t, v) for v in x.summands) for t in self.t_ind]
-        for cand in self.ts_list:
-            have = [sum(cat.hom_dim(t, v) for v in cand.summands)
-                    for t in self.t_ind]
-            if have != want:
+        want = self._t_dims(x)
+        for k, cand in enumerate(self.ts_list):
+            if k == len(self._ts_t_dims):
+                self._ts_t_dims.append(self._t_dims(cand))
+            if self._ts_t_dims[k] != want:
                 continue
-            d = ac.hom_space_dim(cat, cand, x)
-            if p ** d <= p ** self.params.enum_exp_cap:
-                space = ac.enumerate_morphisms(cat, cand, x,
-                                               cap=p ** self.params.enum_exp_cap)
-            else:
-                rng = np.random.default_rng(self.params.seed)
-                space = (ac.random_morphism_rng(cat, cand, x, rng)
-                         for _ in range(self.params.sample_count))
-            for q in space:
-                c = self.classify(q)
-                if c.wfib:
-                    return cand, q
+            vec = self._first_wfib(cand, x)
+            if vec is None:
+                continue
+            q = ac.vec_to_mor(cat, cand, x, vec)
+            if not self.classify(q).wfib:
+                raise AssertionError("batched replacement search returned a "
+                                     "morphism that is not a trivial "
+                                     "fibration")
+            return cand, q
         raise RuntimeError("no replacement found within budget")
+
+    def _t_dims(self, x: Obj) -> list[int]:
+        """dim Hom(t, x) for every t in T, the replacement fingerprint."""
+        return [sum(self.cat.hom_dim(t, v) for v in x.summands)
+                for t in self.t_ind]
+
+    def _hom_tensor(self, w: str, x: Obj, y: Obj) -> np.ndarray:
+        """L of shape (dim Hom(x, y), dim Hom(w, y), dim Hom(w, x)) with
+        Hom(w, f) = sum_c f_c L[c] mod p for f in Hom(x, y) in hom_layout
+        coordinates: L[c] is Hom(w, -) of the c-th elementary morphism."""
+        cat = self.cat
+        wo = Obj((w,))
+        lay, d = ac.hom_layout(cat, x, y)
+        dst = {ij[0]: (off, dd) for ij, off, dd in ac.hom_layout(cat, wo, y)[0]}
+        src = {ij[0]: (off, dd) for ij, off, dd in ac.hom_layout(cat, wo, x)[0]}
+        out = np.zeros((d, ac.hom_space_dim(cat, wo, y),
+                        ac.hom_space_dim(cat, wo, x)), dtype=np.int64)
+        for (i, j), off, dd in lay:
+            tensor = cat.comp.get((w, x.summands[j], y.summands[i]))
+            if tensor is None or i not in dst or j not in src:
+                continue
+            (r0, rd), (c0, cd) = dst[i], src[j]
+            out[off:off + dd, r0:r0 + rd, c0:c0 + cd] = \
+                tensor.transpose(0, 2, 1)
+        return out
+
+    def _first_wfib(self, cand: Obj, x: Obj):
+        """Coefficient vector of the first trivial fibration cand -> x in
+        search order, or None.
+
+        Rows are tested in chunks: a row survives vertex w while Hom(w, q)
+        keeps full row rank (and is square for w in T, the weak equivalence
+        test), so what survives every w is exactly what ``classify`` calls a
+        trivial fibration."""
+        cat = self.cat
+        p = cat.field.p
+        d = ac.hom_space_dim(cat, cand, x)
+        checks = [(self._hom_tensor(t, cand, x), True) for t in self.t_ind]
+        checks += [(self._hom_tensor(cat.sigma_vertex(t), cand, x), False)
+                   for t in self.t_ind]
+        if any(sq and lt.shape[1] != lt.shape[2] for lt, sq in checks):
+            return None
+        checks = [(lt.reshape(d, lt.shape[1] * lt.shape[2]), lt.shape[1:])
+                  for lt, _ in checks if lt.shape[1]]
+        if d <= self.params.enum_exp_cap:
+            space = itertools.product(range(p), repeat=d)
+        else:
+            rng = np.random.default_rng(self.params.seed)
+            space = (rng.integers(0, p, size=d)
+                     for _ in range(self.params.sample_count))
+        chunk = 16    # most searches end within the first rows
+        while True:
+            batch = list(itertools.islice(space, chunk))
+            if not batch:
+                return None
+            rows = np.array(batch, dtype=np.int64).reshape(len(batch), d)
+            for flat, shape in checks:
+                mats = (rows @ flat % p).reshape(len(rows), *shape)
+                rows = rows[batch_rank(mats, p) == shape[0]]
+                if not len(rows):
+                    break
+            if len(rows):
+                return rows[0]
+            chunk = min(4 * chunk, 1024)
 
 
 def build_rigid(cat: MeshCategory, t_ind, params: EnumParams | None = None) -> RigidStructure:

@@ -134,6 +134,42 @@ def test_fast_rank_agrees(mp):
     assert el.fast_rank(m, p) == el.array_rank(m, p)
 
 
+@st.composite
+def matrix_stack(draw):
+    """(p, stack): n matrices r x c, each a product through an inner
+    dimension k, so that rank-deficient cases are common."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    n, r, c, k = (draw(st.integers(0, hi)) for hi in (6, 9, 9, 9))
+    left = draw(st.lists(st.integers(0, p - 1),
+                         min_size=n * r * k, max_size=n * r * k))
+    right = draw(st.lists(st.integers(0, p - 1),
+                          min_size=n * k * c, max_size=n * k * c))
+    stack = (np.array(left, dtype=np.int64).reshape(n, r, k)
+             @ np.array(right, dtype=np.int64).reshape(n, k, c)) % p
+    return p, stack
+
+
+@given(matrix_stack())
+@settings(max_examples=300, deadline=None)
+def test_batch_rank_agrees(ps):
+    p, stack = ps
+    got = el.batch_rank(stack, p)
+    assert got.shape == (stack.shape[0],)
+    assert got.tolist() == [el.array_rank(m, p) for m in stack]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("r,c", [(5, 70), (70, 5), (70, 70)])
+def test_batch_rank_wide_and_fallback(p, r, c):
+    """Sides beyond 62 columns: packed transposed, or ranked one by one."""
+    rng = np.random.default_rng(r * c + p)
+    stack = np.stack([(rng.integers(0, p, size=(r, k))
+                       @ rng.integers(0, p, size=(k, c))) % p
+                      for k in (0, 3, 40, 70)])
+    assert el.batch_rank(stack, p).tolist() == \
+        [el.array_rank(m, p) for m in stack]
+
+
 @pytest.mark.parametrize("p,nvecs", [(2, 8), (3, 5)])
 def test_in_span_agrees_with_enumeration(p, nvecs):
     rng = np.random.default_rng(3)
