@@ -228,11 +228,10 @@ def batch_rank(stack, p: int) -> np.ndarray:
     """Rank of every matrix in an (n, r, c) stack, as an int64 array.
 
     Elimination runs one column at a time, vectorized across the stack: the
-    first row holding the column is the pivot, it is cleared out of every
-    row holding the column (itself included, which retires it), and each
-    matrix with a pivot gains one rank.  For p = 2 the shorter side is
-    packed into int64 words and rows are cleared by xor, as in M4RI; a
-    stack whose sides both exceed 62 falls back to ``fast_rank`` per matrix.
+    first row holding the column is the pivot, it is scaled to 1 and cleared
+    out of every row holding the column (itself included, which retires it),
+    and each matrix with a pivot gains one rank.  The shorter side is taken
+    as the columns, so the loop runs min(r, c) times.
     """
     m = np.asarray(stack, dtype=np.int64)
     if m.ndim != 3:
@@ -242,22 +241,9 @@ def batch_rank(stack, p: int) -> np.ndarray:
     if n == 0 or r == 0 or c == 0:
         return rank
     if c > r:
-        m, r, c = m.transpose(0, 2, 1), c, r
-    at = np.arange(n)
-    if p == 2:
-        if c > 62:
-            return np.array([fast_rank(a, 2) for a in m], dtype=np.int64)
-        pows = _POW2_CACHE.get(c)
-        if pows is None:
-            pows = _POW2_CACHE[c] = 1 << np.arange(c, dtype=np.int64)
-        words = (m & 1) @ pows
-        for k in range(c):
-            hold = (words >> k) & 1
-            pivot = words[at, hold.argmax(axis=1)]
-            words ^= hold * pivot[:, None]
-            rank += hold.any(axis=1)
-        return rank
+        m, c = m.transpose(0, 2, 1), r
     m = m % p
+    at = np.arange(n)
     inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
     for k in range(c):
         col = m[:, :, k]

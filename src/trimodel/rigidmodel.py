@@ -132,7 +132,8 @@ class RigidStructure:
         self._taut_cache: dict = {}
         self._approx_cache: dict = {}
         self._replacement_cache: dict = {}
-        self._ts_t_dims: list = []    # _t_dims of a prefix of ts_list
+        self._ts_t_fps = None    # dim Hom(t, cand), t in T, cand in ts_list
+        self._cone_tensor_cache: dict = {}
         self.crosscheck_disagreements: list[str] = []
         self._enumerate_ts()
 
@@ -392,91 +393,59 @@ class RigidStructure:
 
     # ------------------------------------------------------ cofibrant objects
 
-    def _radical_coords(self, t1: tuple, t0: tuple):
-        """Coordinates of the radical part of Hom(T1, T0): same-vertex blocks
-        carry only the identity class, so they are forced to zero."""
-        cat = self.cat
-        coords = []
-        for i, v0 in enumerate(t0):
-            for j, v1 in enumerate(t1):
-                if v1 == v0:
-                    continue
-                for k in range(cat.hom_dim(v1, v0)):
-                    coords.append((i, j, k))
-        return coords
-
     def _cone_tensors(self, t1: tuple, t0: tuple):
-        """Radical-coordinate tensors for batched cone fingerprints.
+        """Tensors for batched cone fingerprints of morphisms T1 -> T0.
 
-        For each vertex u, K[u][c] is the matrix of Hom(u, elementary_c) and
-        KS[u][c] the matrix of Hom(u, sigma elementary_c); both are plain
-        reindexings of the composition constants, so assembly is cheap."""
-        cache = getattr(self, "_cone_tensor_cache", None)
-        if cache is None:
-            cache = self._cone_tensor_cache = {}
+        Same-vertex blocks of Hom(T1, T0) carry only the identity class, so
+        the radical part is the rest of the hom_layout coordinates, listed
+        in ``radical``.  ``sig`` maps layout coordinates of alpha to those of
+        sigma alpha, and for each vertex u, K[u] and KS[u] are the
+        ``_hom_tensor`` of Hom(u, -) on Hom(T1, T0) and on
+        Hom(sigma T1, sigma T0)."""
         key = (t1, t0)
-        hit = cache.get(key)
+        hit = self._cone_tensor_cache.get(key)
         if hit is not None:
             return hit
         cat = self.cat
-        p = cat.field.p
-        coords = self._radical_coords(t1, t0)
-        dim = len(coords)
         x1, x0 = Obj(t1), Obj(t0)
         sx1, sx0 = ac.sigma_obj(cat, x1), ac.sigma_obj(cat, x0)
-        ks, kss = [], []
-        for u in cat.verts:
-            uo = Obj((u,))
-            lay1, d1 = ac.hom_layout(cat, uo, x1)
-            lay0, d0 = ac.hom_layout(cat, uo, x0)
-            off1 = {ij[0]: off for ij, off, _ in lay1}
-            off0 = {ij[0]: off for ij, off, _ in lay0}
-            k_t = np.zeros((dim, d0, d1), dtype=np.int64)
-            slay1, sd1 = ac.hom_layout(cat, uo, sx1)
-            slay0, sd0 = ac.hom_layout(cat, uo, sx0)
-            soff1 = {ij[0]: off for ij, off, _ in slay1}
-            soff0 = {ij[0]: off for ij, off, _ in slay0}
-            ks_t = np.zeros((dim, sd0, sd1), dtype=np.int64)
-            for c, (i, j, k) in enumerate(coords):
-                v1, v0 = t1[j], t0[i]
-                tens = cat.comp.get((u, v1, v0))
-                if tens is not None and j in off1 and i in off0:
-                    blk = tens[k].T
-                    k_t[c, off0[i]: off0[i] + blk.shape[0],
-                        off1[j]: off1[j] + blk.shape[1]] = blk
-                sv1, sv0 = cat.sigma_vertex(v1), cat.sigma_vertex(v0)
-                stens = cat.comp.get((u, sv1, sv0))
-                if stens is not None and j in soff1 and i in soff0:
-                    svec = cat.sigma_map[(v1, v0)][:, k]
-                    blk = np.einsum("m,msr->rs", svec, stens) % p
-                    ks_t[c, soff0[i]: soff0[i] + blk.shape[0],
-                         soff1[j]: soff1[j] + blk.shape[1]] = blk
-            ks.append(k_t)
-            kss.append(ks_t)
-        cache[key] = (coords, ks, kss)
-        return cache[key]
+        lay, d = ac.hom_layout(cat, x1, x0)
+        # sigma preserves Hom dimensions, so Hom(sx1, sx0) has the same
+        # layout and sigma acts blockwise through sigma_map
+        assert ac.hom_layout(cat, sx1, sx0)[0] == lay
+        radical = []
+        sig = np.zeros((d, d), dtype=np.int64)
+        for (i, j), off, dd in lay:
+            if t1[j] != t0[i]:
+                radical.extend(range(off, off + dd))
+            sig[off:off + dd, off:off + dd] = cat.sigma_map[(t1[j], t0[i])]
+        hit = self._cone_tensor_cache[key] = (
+            radical, sig, [self._hom_tensor(u, x1, x0) for u in cat.verts],
+            [self._hom_tensor(u, sx1, sx0) for u in cat.verts])
+        return hit
 
     def _batch_cone_fps(self, t1: tuple, t0: tuple,
-                        coeff_rows: np.ndarray) -> np.ndarray:
-        """Cone fingerprints for a batch of radical coefficient rows."""
+                        rows: np.ndarray) -> np.ndarray:
+        """Cone fingerprints for a batch of coefficient rows of Hom(T1, T0)
+        in hom_layout coordinates."""
         cat = self.cat
         p = cat.field.p
-        coords, ks, kss = self._cone_tensors(t1, t0)
-        n = coeff_rows.shape[0]
+        _, sig, ks, kss = self._cone_tensors(t1, t0)
+        n, d = rows.shape
+        srows = rows @ sig.T % p
         fp = np.zeros((n, len(cat.verts)), dtype=np.int64)
         for ui in range(len(cat.verts)):
-            k_t, ks_t = ks[ui], kss[ui]
-            dim, d0, d1 = k_t.shape
-            sd0, sd1 = ks_t.shape[1], ks_t.shape[2]
+            _, d0, d1 = ks[ui].shape
+            _, sd0, sd1 = kss[ui].shape
             base = d0 + sd1
             if d0 * d1:
-                mats = (coeff_rows @ k_t.reshape(dim, d0 * d1)).reshape(
+                mats = (rows @ ks[ui].reshape(d, d0 * d1)).reshape(
                     n, d0, d1) % p
                 ranks1 = [fast_rank(mats[i], p) for i in range(n)]
             else:
                 ranks1 = [0] * n
             if sd0 * sd1:
-                smats = (coeff_rows @ ks_t.reshape(dim, sd0 * sd1)).reshape(
+                smats = (srows @ kss[ui].reshape(d, sd0 * sd1)).reshape(
                     n, sd0, sd1) % p
                 ranks2 = [fast_rank(smats[i], p) for i in range(n)]
             else:
@@ -545,21 +514,6 @@ class RigidStructure:
         f = self.approx(Obj((v,)), "left", "perp", minimize=True)
         return all(u in self.sigma_t_ind for u in f.cod.summands)
 
-    def _alpha_from_coords(self, t1: tuple, t0: tuple, coords,
-                           coeffs) -> Mor:
-        cat = self.cat
-        alpha = Mor(cat, Obj(t1), Obj(t0))
-        acc: dict[tuple[int, int], np.ndarray] = {}
-        for (i, j, k), c in zip(coords, coeffs):
-            if not c:
-                continue
-            vec = acc.setdefault(
-                (i, j), np.zeros(cat.hom_dim(t1[j], t0[i]), dtype=np.int64))
-            vec[k] = c
-        for (i, j), vec in acc.items():
-            alpha.set_block(i, j, vec)
-        return alpha
-
     def _cones_of_pair(self, t1: tuple, t0: tuple, found: set,
                        ambiguous: set, stop_fp=None) -> bool:
         """Sweep the radical morphisms of one side pair in batches.
@@ -567,27 +521,15 @@ class RigidStructure:
         Records recovered cone multisets; with stop_fp set, returns True as
         soon as some cone has exactly that fingerprint."""
         cat = self.cat
-        p = cat.field.p
-        coords, _, _ = self._cone_tensors(t1, t0)
-        dim = len(coords)
-        exhaustive = p ** dim <= p ** self.params.pair_cap_exp
-        if exhaustive:
-            space = itertools.product(range(p), repeat=dim)
-            total = p ** dim
-        else:
-            rng = np.random.default_rng(self.params.seed)
-            total = self.params.sample_count
-            space = (tuple(rng.integers(0, p, size=dim))
-                     for _ in range(total))
+        radical = self._cone_tensors(t1, t0)[0]
+        x1, x0 = Obj(t1), Obj(t0)
+        d = ac.hom_space_dim(cat, x1, x0)
         seen_fp = self._seen_cone_fps
-        chunk = 1024
-        it = iter(space)
-        while True:
-            rows = list(itertools.islice(it, chunk))
-            if not rows:
-                return False
-            coeff_rows = np.array(rows, dtype=np.int64).reshape(len(rows), dim)
-            fps = self._batch_cone_fps(t1, t0, coeff_rows)
+        for coeff_rows in self._coeff_chunks(len(radical),
+                                             self.params.pair_cap_exp, 1024):
+            rows = np.zeros((len(coeff_rows), d), dtype=np.int64)
+            rows[:, radical] = coeff_rows
+            fps = self._batch_cone_fps(t1, t0, rows)
             for rown in range(fps.shape[0]):
                 key = tuple(int(x) for x in fps[rown])
                 if stop_fp is not None and key == stop_fp:
@@ -607,8 +549,7 @@ class RigidStructure:
                     ambiguous.add(key)
                     continue
                 ms = sols[0]
-                alpha = self._alpha_from_coords(t1, t0, coords,
-                                                coeff_rows[rown])
+                alpha = ac.vec_to_mor(cat, x1, x0, rows[rown])
                 dual = self._cone_fingerprint_dual(alpha)
                 dual_expect = np.zeros(len(cat.verts), dtype=np.int64)
                 for v in ms:
@@ -617,6 +558,7 @@ class RigidStructure:
                     self.crosscheck_disagreements.append(
                         f"cone fingerprint dual mismatch for {ms}")
                 found.add(ms)
+        return False
 
     def _enumerate_ts(self) -> None:
         cat = self.cat
@@ -907,12 +849,15 @@ class RigidStructure:
         cat = self.cat
         if self.is_cofibrant(x):
             return x, ac.identity(cat, x)
-        want = self._t_dims(x)
-        for k, cand in enumerate(self.ts_list):
-            if k == len(self._ts_t_dims):
-                self._ts_t_dims.append(self._t_dims(cand))
-            if self._ts_t_dims[k] != want:
-                continue
+        # a weak equivalence needs dim Hom(t, cand) == dim Hom(t, x) for t in T
+        t_rows = [cat.vidx[t] for t in self.t_ind]
+        if self._ts_t_fps is None:
+            self._ts_t_fps = np.array(
+                [ac.hom_fingerprint(cat, c)[t_rows] for c in self.ts_list],
+                dtype=np.int64).reshape(len(self.ts_list), len(t_rows))
+        want = ac.hom_fingerprint(cat, x)[t_rows]
+        for k in np.flatnonzero((self._ts_t_fps == want).all(axis=1)):
+            cand = self.ts_list[k]
             vec = self._first_wfib(cand, x)
             if vec is None:
                 continue
@@ -924,11 +869,6 @@ class RigidStructure:
             return cand, q
         raise RuntimeError("no replacement found within budget")
 
-    def _t_dims(self, x: Obj) -> list[int]:
-        """dim Hom(t, x) for every t in T, the replacement fingerprint."""
-        return [sum(self.cat.hom_dim(t, v) for v in x.summands)
-                for t in self.t_ind]
-
     def _hom_tensor(self, w: str, x: Obj, y: Obj) -> np.ndarray:
         """L of shape (dim Hom(x, y), dim Hom(w, y), dim Hom(w, x)) with
         Hom(w, f) = sum_c f_c L[c] mod p for f in Hom(x, y) in hom_layout
@@ -936,10 +876,13 @@ class RigidStructure:
         cat = self.cat
         wo = Obj((w,))
         lay, d = ac.hom_layout(cat, x, y)
-        dst = {ij[0]: (off, dd) for ij, off, dd in ac.hom_layout(cat, wo, y)[0]}
-        src = {ij[0]: (off, dd) for ij, off, dd in ac.hom_layout(cat, wo, x)[0]}
-        out = np.zeros((d, ac.hom_space_dim(cat, wo, y),
-                        ac.hom_space_dim(cat, wo, x)), dtype=np.int64)
+        lay_y, dy = ac.hom_layout(cat, wo, y)
+        lay_x, dx = ac.hom_layout(cat, wo, x)
+        out = np.zeros((d, dy, dx), dtype=np.int64)
+        if not out.size:
+            return out
+        dst = {ij[0]: (off, dd) for ij, off, dd in lay_y}
+        src = {ij[0]: (off, dd) for ij, off, dd in lay_x}
         for (i, j), off, dd in lay:
             tensor = cat.comp.get((w, x.summands[j], y.summands[i]))
             if tensor is None or i not in dst or j not in src:
@@ -949,36 +892,44 @@ class RigidStructure:
                 tensor.transpose(0, 2, 1)
         return out
 
-    def _first_wfib(self, cand: Obj, x: Obj):
-        """Coefficient vector of the first trivial fibration cand -> x in
-        search order, or None.
-
-        Rows are tested in chunks: a row survives vertex w while Hom(w, q)
-        keeps full row rank (and is square for w in T, the weak equivalence
-        test), so what survives every w is exactly what ``classify`` calls a
-        trivial fibration."""
-        cat = self.cat
-        p = cat.field.p
-        d = ac.hom_space_dim(cat, cand, x)
-        checks = [(self._hom_tensor(t, cand, x), True) for t in self.t_ind]
-        checks += [(self._hom_tensor(cat.sigma_vertex(t), cand, x), False)
-                   for t in self.t_ind]
-        if any(sq and lt.shape[1] != lt.shape[2] for lt, sq in checks):
-            return None
-        checks = [(lt.reshape(d, lt.shape[1] * lt.shape[2]), lt.shape[1:])
-                  for lt, _ in checks if lt.shape[1]]
-        if d <= self.params.enum_exp_cap:
+    def _coeff_chunks(self, d: int, cap_exp: int, chunk: int):
+        """Coefficient vectors of length d as (rows, d) arrays of at most
+        1024 rows, the first of ``chunk`` rows and each next one four times
+        larger: all of F_p^d in lexicographic order when d <= cap_exp, else
+        ``sample_count`` seeded draws."""
+        p = self.cat.field.p
+        if d <= cap_exp:
             space = itertools.product(range(p), repeat=d)
         else:
             rng = np.random.default_rng(self.params.seed)
             space = (rng.integers(0, p, size=d)
                      for _ in range(self.params.sample_count))
-        chunk = 16    # most searches end within the first rows
         while True:
             batch = list(itertools.islice(space, chunk))
             if not batch:
-                return None
-            rows = np.array(batch, dtype=np.int64).reshape(len(batch), d)
+                return
+            yield np.array(batch, dtype=np.int64).reshape(len(batch), d)
+            chunk = min(4 * chunk, 1024)
+
+    def _first_wfib(self, cand: Obj, x: Obj):
+        """Coefficient vector of the first trivial fibration cand -> x in
+        search order, or None.  The caller matched dim Hom(t, -) for t in T,
+        so every Hom(t, q) is square.
+
+        Rows are tested in chunks: a row survives vertex w while Hom(w, q)
+        keeps full row rank, so what survives every t and sigma t is
+        exactly what ``classify`` calls a trivial fibration."""
+        cat = self.cat
+        p = cat.field.p
+        d = ac.hom_space_dim(cat, cand, x)
+        checks = []
+        for w in self.t_ind + tuple(cat.sigma_vertex(t) for t in self.t_ind):
+            lt = self._hom_tensor(w, cand, x)
+            if lt.shape[1]:
+                checks.append((lt.reshape(d, lt.shape[1] * lt.shape[2]),
+                               lt.shape[1:]))
+        # most searches end within the first rows, so chunks start small
+        for rows in self._coeff_chunks(d, self.params.enum_exp_cap, 16):
             for flat, shape in checks:
                 mats = (rows @ flat % p).reshape(len(rows), *shape)
                 rows = rows[batch_rank(mats, p) == shape[0]]
@@ -986,7 +937,7 @@ class RigidStructure:
                     break
             if len(rows):
                 return rows[0]
-            chunk = min(4 * chunk, 1024)
+        return None
 
 
 def build_rigid(cat: MeshCategory, t_ind, params: EnumParams | None = None) -> RigidStructure:

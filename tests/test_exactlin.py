@@ -160,8 +160,9 @@ def test_batch_rank_agrees(ps):
 
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("r,c", [(5, 70), (70, 5), (70, 70)])
-def test_batch_rank_wide_and_fallback(p, r, c):
-    """Sides beyond 62 columns: packed transposed, or ranked one by one."""
+def test_batch_rank_large_sides(p, r, c):
+    """Sides well beyond the property test's range: wide (ranked through
+    the transpose), tall and square."""
     rng = np.random.default_rng(r * c + p)
     stack = np.stack([(rng.integers(0, p, size=(r, k))
                        @ rng.integers(0, p, size=(k, c))) % p
