@@ -3,7 +3,8 @@
 Subcommands build or load a category, declare the rigid set, and run the
 classification, the suites, or the packaged example; reports are emitted in
 a byte-deterministic text or JSON layout.  Exit codes: 0 when every check
-passes, 1 when a check fails, 2 on malformed input.
+passes, 1 when a check fails (a construction that fails on well-formed input
+is reported as one failed check naming the exception), 2 on malformed input.
 """
 
 from __future__ import annotations
@@ -95,8 +96,11 @@ def _build_category(args):
 
 def _rigid_for(args, cat):
     if args.type == "d4-paper" and not args.t_verts:
+        # the worked example's rigid set, rebuilt on this command's own
+        # category: morphisms of two category instances never compare equal
         binding = d4scenario.bind(args.field_char)
-        return binding.rigid
+        return build_rigid(cat, binding.rigid.t_ind,
+                           EnumParams(seed=args.seed))
     if not args.t_verts:
         raise QuiverError("this command requires --T")
     t = [v for v in args.t_verts.split(",") if v]
@@ -225,6 +229,10 @@ def main(argv=None) -> int:
             json.JSONDecodeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except (RuntimeError, AssertionError) as e:
+        rep = Report(args.command, {"field_char": args.field_char})
+        rep.add("construction", False, f"{type(e).__name__}: {e}")
+        return _emit(args, rep)
 
 
 if __name__ == "__main__":

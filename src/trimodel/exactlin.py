@@ -9,8 +9,9 @@ Two layers are provided: array-level functions (``array_rref``,
 ``array_rank``, ...) that carry the characteristic explicitly and are used on
 hot paths, and the small ``Mat`` wrapper bundling a ``PrimeField`` for code
 that wants self-describing values.  ``batch_rank`` takes the ranks of a
-whole (n, r, c) stack of matrices at once, for searches that test many
-morphisms of one Hom space together.
+whole (n, r, c) stack of matrices at once, for searches and suites that test
+many morphisms together; it eliminates in int16, which is exact because
+p <= ``MAX_CHAR`` keeps every product in a row update below 2^15.
 """
 
 from __future__ import annotations
@@ -163,6 +164,9 @@ def array_inverse(a, p: int):
 
 
 _POW2_CACHE: dict[int, np.ndarray] = {}
+# cells per elimination pass of batch_rank: larger stacks run in slices,
+# which keeps the working copy small and cache-resident
+BATCH_CELLS = 1 << 16
 
 
 def fast_rank(a, p: int) -> int:
@@ -231,20 +235,27 @@ def batch_rank(stack, p: int) -> np.ndarray:
     first row holding the column is the pivot, it is scaled to 1 and cleared
     out of every row holding the column (itself included, which retires it),
     and each matrix with a pivot gains one rank.  The shorter side is taken
-    as the columns, so the loop runs min(r, c) times.
+    as the columns, so the loop runs min(r, c) times.  The working copy is
+    int16: entries stay in [0, p) and p <= MAX_CHAR = 97, so a product in
+    the row update is at most 96^2 = 9216 and a difference at least -9216.
+    Stacks of more than ``BATCH_CELLS`` cells are ranked slice by slice.
     """
-    m = np.asarray(stack, dtype=np.int64)
+    m = np.asarray(stack)
     if m.ndim != 3:
         raise ValueError(f"expected an (n, r, c) stack, got shape {m.shape}")
     n, r, c = m.shape
     rank = np.zeros(n, dtype=np.int64)
     if n == 0 or r == 0 or c == 0:
         return rank
+    per = max(1, BATCH_CELLS // (r * c))
+    if n > per:
+        return np.concatenate([batch_rank(m[i:i + per], p)
+                               for i in range(0, n, per)])
     if c > r:
         m, c = m.transpose(0, 2, 1), r
-    m = m % p
+    m = np.ascontiguousarray(m % p, dtype=np.int16)
     at = np.arange(n)
-    inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
+    inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int16)
     for k in range(c):
         col = m[:, :, k]
         hold = col != 0
@@ -253,6 +264,23 @@ def batch_rank(stack, p: int) -> np.ndarray:
         m = (m - col[:, :, None] * pivot[:, None, :]) % p
         rank += hold.any(axis=1)
     return rank
+
+
+def ragged_rank(stacks, p: int) -> list[np.ndarray]:
+    """``batch_rank`` of every (n_i, r_i, c_i) stack of a list: the stacks of
+    one matrix shape are concatenated and ranked in one call, so many small
+    stacks cost one elimination loop per distinct shape, with no padding."""
+    by_shape: dict[tuple, list[int]] = {}
+    for i, st in enumerate(stacks):
+        by_shape.setdefault(st.shape[1:], []).append(i)
+    out: list = [None] * len(stacks)
+    for idx in by_shape.values():
+        ranks = batch_rank(np.concatenate([stacks[i] for i in idx]), p)
+        at = 0
+        for i in idx:
+            out[i] = ranks[at:at + len(stacks[i])]
+            at += len(stacks[i])
+    return out
 
 
 class Mat:

@@ -12,7 +12,9 @@ derives the whole verification surface:
   * the four morphism classes: weak equivalences (Hom(t, -) applied to the
     morphism is bijective for every t in T), fibrations (Hom(sigma t, -)
     surjective), trivial fibrations (both), and weak cofibrations (split
-    monos with complement in sigma T);
+    monos with complement in sigma T); ``class_masks`` gives the first two
+    flags for whole Hom spaces at once, through ``hom_tensor`` and batched
+    ranks;
   * cofibrant objects: the cones of morphisms between sums of T vertices,
     enumerated through exact cone fingerprints and cross-checked against the
     approximation criterion (cones are closed under sums and summands, so
@@ -38,7 +40,8 @@ import numpy as np
 
 from . import addcat as ac
 from .addcat import Mor, Obj
-from .exactlin import array_rref, array_solve, batch_rank, fast_rank
+from .exactlin import (array_rref, array_solve, batch_rank, fast_rank,
+                       ragged_rank)
 from .meshcat import MeshCategory
 
 
@@ -132,6 +135,7 @@ class RigidStructure:
         self._taut_cache: dict = {}
         self._approx_cache: dict = {}
         self._replacement_cache: dict = {}
+        self._eps_verified: set = set()
         self._ts_t_fps = None    # dim Hom(t, cand), t in T, cand in ts_list
         self._cone_tensor_cache: dict = {}
         self.crosscheck_disagreements: list[str] = []
@@ -375,21 +379,48 @@ class RigidStructure:
             if fast_rank(m, p) != m.shape[0]:
                 fib = False
                 break
-        # split monos force a sub-multiset codomain (Krull-Schmidt), so the
-        # counter test prunes the retraction solve
         retraction = None
-        complement = None
-        wcof = False
-        cx, cy = f.dom.counter(), f.cod.counter()
-        if all(cx[v] <= cy.get(v, 0) for v in cx):
-            rest = ac.multiset_sub(f.cod, f.dom)
-            if all(v in self.sigma_t_ind for v in rest.summands):
-                retraction = ac.find_retraction(f)
-                if retraction is not None:
-                    wcof = True
-                    complement = rest
-        return Classification(weq, fib, weq and fib, wcof,
+        complement = self.split_mono_complement(f.dom, f.cod)
+        if complement is not None:
+            retraction = ac.find_retraction(f)
+            if retraction is None:
+                complement = None
+        return Classification(weq, fib, weq and fib, retraction is not None,
                               retraction, complement)
+
+    def split_mono_complement(self, x: Obj, y: Obj) -> Obj | None:
+        """y - x when a morphism x -> y may be a weak cofibration, else None.
+
+        Split monos force a sub-multiset codomain (Krull-Schmidt), and the
+        complement must lie in add sigma T; this depends on (x, y) alone and
+        prunes the retraction solve."""
+        cx, cy = x.counter(), y.counter()
+        if any(cx[v] > cy.get(v, 0) for v in cx):
+            return None
+        rest = ac.multiset_sub(y, x)
+        if any(v not in self.sigma_t_ind for v in rest.summands):
+            return None
+        return rest
+
+    def class_masks(self, spaces) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``classify``'s (weq, fib) flags for every morphism of every
+        (x, y, coeffs) of spaces, whose rows are morphisms x -> y in
+        hom_layout coordinates.  Hom(w, f) for w in T and sigma T must be
+        square (T only) and of full row rank; all of them, over all spaces,
+        are ranked together."""
+        p = self.cat.field.p
+        nt = len(self.t_ind)
+        ws = [Obj((t,)) for t in self.t_ind] + \
+            [Obj((self.cat.sigma_vertex(t),)) for t in self.t_ind]
+        mats = [apply_tensor(self.hom_tensor(w, x, y), coeffs, p)
+                for x, y, coeffs in spaces for w in ws]
+        full = [r == m.shape[1] for r, m in zip(ragged_rank(mats, p), mats)]
+        out = []
+        for k in range(0, len(mats), len(ws)):
+            square = all(m.shape[1] == m.shape[2] for m in mats[k:k + nt])
+            out.append((np.logical_and.reduce(full[k:k + nt]) & square,
+                        np.logical_and.reduce(full[k + nt:k + len(ws)])))
+        return out
 
     # ------------------------------------------------------ cofibrant objects
 
@@ -400,7 +431,7 @@ class RigidStructure:
         the radical part is the rest of the hom_layout coordinates, listed
         in ``radical``.  ``sig`` maps layout coordinates of alpha to those of
         sigma alpha, and for each vertex u, K[u] and KS[u] are the
-        ``_hom_tensor`` of Hom(u, -) on Hom(T1, T0) and on
+        ``hom_tensor`` of Hom(u, -) on Hom(T1, T0) and on
         Hom(sigma T1, sigma T0)."""
         key = (t1, t0)
         hit = self._cone_tensor_cache.get(key)
@@ -420,8 +451,9 @@ class RigidStructure:
                 radical.extend(range(off, off + dd))
             sig[off:off + dd, off:off + dd] = cat.sigma_map[(t1[j], t0[i])]
         hit = self._cone_tensor_cache[key] = (
-            radical, sig, [self._hom_tensor(u, x1, x0) for u in cat.verts],
-            [self._hom_tensor(u, sx1, sx0) for u in cat.verts])
+            radical, sig,
+            [self.hom_tensor(Obj((u,)), x1, x0) for u in cat.verts],
+            [self.hom_tensor(Obj((u,)), sx1, sx0) for u in cat.verts])
         return hit
 
     def _batch_cone_fps(self, t1: tuple, t0: tuple,
@@ -806,12 +838,17 @@ class RigidStructure:
             raise AssertionError("no lift through the cofibrant replacement")
         ft = ac.vec_to_mor(cat, f.dom, qy_obj, sol)
         eps = self.approx(f.dom, "left", "perp", minimize=True)
-        if not all(v in self.sigma_t_ind for v in eps.cod.summands):
-            raise AssertionError("epsilon verification failed: target "
-                                 f"{eps.cod.summands} outside add sigma T")
-        if not self.is_approximation(eps, "left", "perp"):
-            raise AssertionError("epsilon verification failed: not a left "
-                                 "perp approximation")
+        # the approximation is memoized, so one verification per domain
+        # covers every later call
+        if f.dom.summands not in self._eps_verified:
+            if not all(v in self.sigma_t_ind for v in eps.cod.summands):
+                raise AssertionError("epsilon verification failed: target "
+                                     f"{eps.cod.summands} outside add "
+                                     "sigma T")
+            if not self.is_approximation(eps, "left", "perp"):
+                raise AssertionError("epsilon verification failed: not a "
+                                     "left perp approximation")
+            self._eps_verified.add(f.dom.summands)
         mid = ac.dsum_obj(qy_obj, eps.cod)
         first = Mor(cat, f.dom, mid)
         for (i, j), vec in ft.blocks.items():
@@ -869,27 +906,28 @@ class RigidStructure:
             return cand, q
         raise RuntimeError("no replacement found within budget")
 
-    def _hom_tensor(self, w: str, x: Obj, y: Obj) -> np.ndarray:
+    def hom_tensor(self, w: Obj, x: Obj, y: Obj) -> np.ndarray:
         """L of shape (dim Hom(x, y), dim Hom(w, y), dim Hom(w, x)) with
         Hom(w, f) = sum_c f_c L[c] mod p for f in Hom(x, y) in hom_layout
         coordinates: L[c] is Hom(w, -) of the c-th elementary morphism."""
         cat = self.cat
-        wo = Obj((w,))
         lay, d = ac.hom_layout(cat, x, y)
-        lay_y, dy = ac.hom_layout(cat, wo, y)
-        lay_x, dx = ac.hom_layout(cat, wo, x)
+        lay_y, dy = ac.hom_layout(cat, w, y)
+        lay_x, dx = ac.hom_layout(cat, w, x)
         out = np.zeros((d, dy, dx), dtype=np.int64)
         if not out.size:
             return out
-        dst = {ij[0]: (off, dd) for ij, off, dd in lay_y}
-        src = {ij[0]: (off, dd) for ij, off, dd in lay_x}
+        # blocks (i, k) of Hom(w, y) and (j, k) of Hom(w, x), k indexing w
+        dst = {ij: (off, dd) for ij, off, dd in lay_y}
+        src = {ij: (off, dd) for ij, off, dd in lay_x}
         for (i, j), off, dd in lay:
-            tensor = cat.comp.get((w, x.summands[j], y.summands[i]))
-            if tensor is None or i not in dst or j not in src:
-                continue
-            (r0, rd), (c0, cd) = dst[i], src[j]
-            out[off:off + dd, r0:r0 + rd, c0:c0 + cd] = \
-                tensor.transpose(0, 2, 1)
+            for k, wk in enumerate(w.summands):
+                tensor = cat.comp.get((wk, x.summands[j], y.summands[i]))
+                if tensor is None or (i, k) not in dst or (j, k) not in src:
+                    continue
+                (r0, rd), (c0, cd) = dst[(i, k)], src[(j, k)]
+                out[off:off + dd, r0:r0 + rd, c0:c0 + cd] = \
+                    tensor.transpose(0, 2, 1)
         return out
 
     def _coeff_chunks(self, d: int, cap_exp: int, chunk: int):
@@ -922,22 +960,27 @@ class RigidStructure:
         cat = self.cat
         p = cat.field.p
         d = ac.hom_space_dim(cat, cand, x)
-        checks = []
-        for w in self.t_ind + tuple(cat.sigma_vertex(t) for t in self.t_ind):
-            lt = self._hom_tensor(w, cand, x)
-            if lt.shape[1]:
-                checks.append((lt.reshape(d, lt.shape[1] * lt.shape[2]),
-                               lt.shape[1:]))
+        checks = [self.hom_tensor(Obj((w,)), cand, x)
+                  for w in self.t_ind + tuple(cat.sigma_vertex(t)
+                                              for t in self.t_ind)]
         # most searches end within the first rows, so chunks start small
         for rows in self._coeff_chunks(d, self.params.enum_exp_cap, 16):
-            for flat, shape in checks:
-                mats = (rows @ flat % p).reshape(len(rows), *shape)
-                rows = rows[batch_rank(mats, p) == shape[0]]
+            for lt in checks:
+                if lt.shape[1]:
+                    rows = rows[batch_rank(apply_tensor(lt, rows, p), p)
+                                == lt.shape[1]]
                 if not len(rows):
                     break
             if len(rows):
                 return rows[0]
         return None
+
+
+def apply_tensor(lt: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
+    """The (n, r, c) stack of sum_k f_k lt[k] mod p for the n rows f of
+    rows: Hom(w, f) for every f when lt is a ``hom_tensor``."""
+    d, r, c = lt.shape
+    return (rows @ lt.reshape(d, r * c) % p).reshape(len(rows), r, c)
 
 
 def build_rigid(cat: MeshCategory, t_ind, params: EnumParams | None = None) -> RigidStructure:

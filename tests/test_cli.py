@@ -156,6 +156,27 @@ def test_gen_d4_paper():
     assert len(data["checks"][0]["witnesses"]["vertices"]) == 16
 
 
+def test_axioms_d4_paper_default_rigid_set():
+    # the worked example's rigid set lives on the command's own category,
+    # so morphisms built by the suite compare equal to the rigid data
+    r = run_cli("axioms", "--type", "d4-paper", "--budget", "60",
+                "--report", "json")
+    assert r.returncode == 0, r.stdout
+    data = json.loads(r.stdout)
+    assert len(data["checks"]) == 6
+    assert all(c["status"] == "pass" for c in data["checks"])
+
+
+def test_construction_failure_is_a_failed_check():
+    r = run_cli("axioms", "--type", "d4-paper", "--T", "M0010,M0001,SP1",
+                "--report", "json")
+    assert r.returncode == 1
+    assert b"Traceback" not in r.stderr
+    data = json.loads(r.stdout)
+    assert [c["status"] for c in data["checks"]] == ["fail"]
+    assert data["checks"][0]["details"].startswith("RuntimeError: ")
+
+
 def test_empty_report_summary():
     from trimodel.report import Report
     assert Report("x", {}).summary == "0 checks"

@@ -138,7 +138,7 @@ def test_fast_rank_agrees(mp):
 def matrix_stack(draw):
     """(p, stack): n matrices r x c, each a product through an inner
     dimension k, so that rank-deficient cases are common."""
-    p = draw(st.sampled_from((2, 3, 5, 7)))
+    p = draw(st.sampled_from((2, 3, 5, 7, 97)))
     n, r, c, k = (draw(st.integers(0, hi)) for hi in (6, 9, 9, 9))
     left = draw(st.lists(st.integers(0, p - 1),
                          min_size=n * r * k, max_size=n * r * k))
@@ -158,7 +158,7 @@ def test_batch_rank_agrees(ps):
     assert got.tolist() == [el.array_rank(m, p) for m in stack]
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 97])
 @pytest.mark.parametrize("r,c", [(5, 70), (70, 5), (70, 70)])
 def test_batch_rank_large_sides(p, r, c):
     """Sides well beyond the property test's range: wide (ranked through
@@ -169,6 +169,24 @@ def test_batch_rank_large_sides(p, r, c):
                       for k in (0, 3, 40, 70)])
     assert el.batch_rank(stack, p).tolist() == \
         [el.array_rank(m, p) for m in stack]
+
+
+@pytest.mark.parametrize("p", [2, 97])
+def test_batch_rank_in_slices_and_ragged(p):
+    """A stack larger than BATCH_CELLS is ranked slice by slice, and
+    ragged_rank of stacks of mixed shapes equals batch_rank of each."""
+    rng = np.random.default_rng(p)
+    big = (rng.integers(0, p, size=(3000, 6, 2))
+           @ rng.integers(0, p, size=(3000, 2, 5))) % p
+    assert big.size > el.BATCH_CELLS
+    assert el.batch_rank(big, p).tolist() == \
+        [el.fast_rank(m, p) for m in big]
+    stacks = [rng.integers(0, p, size=(n, r, c))
+              for n, r, c in ((4, 3, 5), (0, 2, 2), (7, 5, 3), (2, 3, 5),
+                              (3, 0, 4), (5, 1, 1))]
+    got = el.ragged_rank(stacks, p)
+    assert [g.tolist() for g in got] == \
+        [el.batch_rank(stack, p).tolist() for stack in stacks]
 
 
 @pytest.mark.parametrize("p,nvecs", [(2, 8), (3, 5)])

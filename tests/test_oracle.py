@@ -57,6 +57,27 @@ def test_plain_implies_htp_top(cat, rigid):
             assert oracle.rlp_all_squares(rigid, ell, r, "htp_bottom")
 
 
+def test_both_homotopy_modes_share_one_square_space(cat, rigid,
+                                                    monkeypatch):
+    rng = np.random.default_rng(4)
+    pool = oracle.objects_up_to(cat, 2)
+    square_space = oracle._square_space
+    calls = []
+    monkeypatch.setattr(oracle, "_square_space", lambda *a: (
+        calls.append(1) or square_space(*a)))
+    for _ in range(60):
+        ell, r = (ac.random_morphism_rng(
+            cat, pool[int(rng.integers(0, len(pool)))],
+            pool[int(rng.integers(0, len(pool)))], rng) for _ in range(2))
+        calls.clear()
+        both = oracle._rlp_up_to_homotopy(rigid, ell, r,
+                                          ("htp_top", "htp_bottom"))
+        assert len(calls) == 1
+        assert both == (oracle.rlp_all_squares(rigid, ell, r, "htp_top")
+                        and oracle.rlp_all_squares(rigid, ell, r,
+                                                   "htp_bottom"))
+
+
 def test_rlp_monotone_under_direct_sum(cat, rigid):
     rng = np.random.default_rng(5)
     pool = oracle.objects_up_to(cat, 1)

@@ -526,3 +526,23 @@ def test_approx_matches_rescanning_greedy(parity_rigids):
                     assert (got.dom, got.cod) == (want.dom, want.cod)
                     assert list(got.blocks) == list(want.blocks)
                     assert got == want
+
+
+def test_epsilon_verified_once_per_domain(cat, monkeypatch):
+    rigid = rm.build_rigid(cat, ["13"])
+    x = ac.obj("13", "25")
+    seen = []
+    verify = rigid.is_approximation
+    monkeypatch.setattr(rigid, "is_approximation", lambda f, side, key: (
+        seen.append(f.dom.summands) or verify(f, side, key)))
+    rng = np.random.default_rng(0)
+    for y in (ac.obj("14"), ac.obj("24", "35"), ac.obj("14")):
+        rigid.factor_htpcof_wfib(ac.random_morphism_rng(cat, x, y, rng))
+    assert seen == [x.summands]
+    # a failed verification raises on every call: it is never recorded
+    broken = rm.build_rigid(cat, ["13"])
+    monkeypatch.setattr(broken, "is_approximation", lambda *a: False)
+    f = ac.random_morphism_rng(cat, x, ac.obj("14"), rng)
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="epsilon verification"):
+            broken.factor_htpcof_wfib(f)
