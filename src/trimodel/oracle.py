@@ -102,28 +102,34 @@ def rlp_all_squares(rigid: RigidStructure, ell: Mor, r: Mor,
     return _rlp_up_to_homotopy(rigid, ell, r, (mode,))
 
 
+def _lifts_up_to_homotopy(rigid: RigidStructure, ell: Mor, r: Mor,
+                          mode: str, sq: np.ndarray) -> bool:
+    """``rlp_all_squares`` in a homotopy mode, given the square space sq."""
+    if sq.shape[1] == 0:
+        return True
+    p = rigid.cat.field.p
+    cand = _candidate_matrix(rigid, ell, r, mode)
+    return fast_rank(np.concatenate([cand, sq], axis=1), p) \
+        == fast_rank(cand, p)
+
+
 def _rlp_up_to_homotopy(rigid: RigidStructure, ell: Mor, r: Mor,
                         modes: tuple[str, ...]) -> bool:
     """Whether ``rlp_all_squares`` holds in every one of the homotopy modes,
     sharing one square space between them; stops at the first failure."""
-    p = rigid.cat.field.p
     sq = _square_space(rigid, ell, r)
-    if sq.shape[1] == 0:
-        return True
-    for mode in modes:
-        cand = _candidate_matrix(rigid, ell, r, mode)
-        base = fast_rank(cand, p)
-        if fast_rank(np.concatenate([cand, sq], axis=1), p) != base:
-            return False
-    return True
+    return all(_lifts_up_to_homotopy(rigid, ell, r, mode, sq)
+               for mode in modes)
 
 
 def lifting_report(rigid: RigidStructure, ell: Mor, r: Mor) -> LiftingReport:
+    sq = _square_space(rigid, ell, r)
+    plain = _candidate_matrix(rigid, ell, r, "plain")
     return LiftingReport(
-        ell, r, _square_space(rigid, ell, r).shape[1],
-        rlp_all_squares(rigid, ell, r, "plain"),
-        rlp_all_squares(rigid, ell, r, "htp_top"),
-        rlp_all_squares(rigid, ell, r, "htp_bottom"),
+        ell, r, sq.shape[1],
+        fast_rank(plain, rigid.cat.field.p) == sq.shape[1],
+        _lifts_up_to_homotopy(rigid, ell, r, "htp_top", sq),
+        _lifts_up_to_homotopy(rigid, ell, r, "htp_bottom", sq),
     )
 
 

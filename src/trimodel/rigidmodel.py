@@ -16,9 +16,11 @@ derives the whole verification surface:
     flags for whole Hom spaces at once, through ``hom_tensor`` and batched
     ranks;
   * cofibrant objects: the cones of morphisms between sums of T vertices,
-    enumerated through exact cone fingerprints and cross-checked against the
-    approximation criterion (cones are closed under sums and summands, so
-    the indecomposable cones generate the whole list);
+    defined here by the approximation criterion (the minimal left
+    perp-approximation of an indecomposable lands in add sigma T); cones
+    are closed under sums and summands, so the cofibrant indecomposables
+    generate the whole list.  The sweep that recovers the cones through
+    exact cone fingerprints is a test oracle, not part of the build;
   * cylinders, path objects, right homotopies, homotopy inverses;
   * both factorizations and cofibrant replacements, each returned with
     certified factors and exact composite equality.  The replacement search
@@ -57,10 +59,6 @@ class NotRigidError(ValueError):
 class EnumParams:
     """Enumeration bounds; the defaults are sized for desk-scale categories."""
 
-    mult_bound: int = 2          # summand multiplicity per T vertex in cones
-    side_total: int = 4          # total summands per side in targeted sweeps
-    blind_side_total: int = 2    # total summands per side in the blind sweep
-    pair_cap_exp: int = 14       # exhaust a cone coefficient space up to p^this
     ts_total: int = 4            # summand bound for the cofibrant-object list
     enum_exp_cap: int = 20       # exhaustive morphism spaces up to p^this
     sample_count: int = 500      # seeded draws beyond the exhaustive cap
@@ -100,16 +98,6 @@ class RightHomotopy:
     correction: Mor   # h with f - g = h . approx
 
 
-def _multisets(items, mult_bound, total_bound):
-    """All multisets over items with the given bounds, ordered by size."""
-    out = [()]
-    for n in range(1, total_bound + 1):
-        for combo in itertools.combinations_with_replacement(sorted(items), n):
-            if all(combo.count(v) <= mult_bound for v in set(combo)):
-                out.append(combo)
-    return out
-
-
 class RigidStructure:
     """A rigid subcategory with everything the checks derive from it."""
 
@@ -137,8 +125,6 @@ class RigidStructure:
         self._replacement_cache: dict = {}
         self._eps_verified: set = set()
         self._ts_t_fps = None    # dim Hom(t, cand), t in T, cand in ts_list
-        self._cone_tensor_cache: dict = {}
-        self.crosscheck_disagreements: list[str] = []
         self._enumerate_ts()
 
     # ------------------------------------------------------------- subcats
@@ -424,224 +410,23 @@ class RigidStructure:
 
     # ------------------------------------------------------ cofibrant objects
 
-    def _cone_tensors(self, t1: tuple, t0: tuple):
-        """Tensors for batched cone fingerprints of morphisms T1 -> T0.
-
-        Same-vertex blocks of Hom(T1, T0) carry only the identity class, so
-        the radical part is the rest of the hom_layout coordinates, listed
-        in ``radical``.  ``sig`` maps layout coordinates of alpha to those of
-        sigma alpha, and for each vertex u, K[u] and KS[u] are the
-        ``hom_tensor`` of Hom(u, -) on Hom(T1, T0) and on
-        Hom(sigma T1, sigma T0)."""
-        key = (t1, t0)
-        hit = self._cone_tensor_cache.get(key)
-        if hit is not None:
-            return hit
-        cat = self.cat
-        x1, x0 = Obj(t1), Obj(t0)
-        sx1, sx0 = ac.sigma_obj(cat, x1), ac.sigma_obj(cat, x0)
-        lay, d = ac.hom_layout(cat, x1, x0)
-        # sigma preserves Hom dimensions, so Hom(sx1, sx0) has the same
-        # layout and sigma acts blockwise through sigma_map
-        assert ac.hom_layout(cat, sx1, sx0)[0] == lay
-        radical = []
-        sig = np.zeros((d, d), dtype=np.int64)
-        for (i, j), off, dd in lay:
-            if t1[j] != t0[i]:
-                radical.extend(range(off, off + dd))
-            sig[off:off + dd, off:off + dd] = cat.sigma_map[(t1[j], t0[i])]
-        hit = self._cone_tensor_cache[key] = (
-            radical, sig,
-            [self.hom_tensor(Obj((u,)), x1, x0) for u in cat.verts],
-            [self.hom_tensor(Obj((u,)), sx1, sx0) for u in cat.verts])
-        return hit
-
-    def _batch_cone_fps(self, t1: tuple, t0: tuple,
-                        rows: np.ndarray) -> np.ndarray:
-        """Cone fingerprints for a batch of coefficient rows of Hom(T1, T0)
-        in hom_layout coordinates."""
-        cat = self.cat
-        p = cat.field.p
-        _, sig, ks, kss = self._cone_tensors(t1, t0)
-        n, d = rows.shape
-        srows = rows @ sig.T % p
-        fp = np.zeros((n, len(cat.verts)), dtype=np.int64)
-        for ui in range(len(cat.verts)):
-            _, d0, d1 = ks[ui].shape
-            _, sd0, sd1 = kss[ui].shape
-            base = d0 + sd1
-            if d0 * d1:
-                mats = (rows @ ks[ui].reshape(d, d0 * d1)).reshape(
-                    n, d0, d1) % p
-                ranks1 = [fast_rank(mats[i], p) for i in range(n)]
-            else:
-                ranks1 = [0] * n
-            if sd0 * sd1:
-                smats = (srows @ kss[ui].reshape(d, sd0 * sd1)).reshape(
-                    n, sd0, sd1) % p
-                ranks2 = [fast_rank(smats[i], p) for i in range(n)]
-            else:
-                ranks2 = [0] * n
-            fp[:, ui] = base - np.array(ranks1) - np.array(ranks2)
-        return fp
-
-    def _cone_fingerprint_dual(self, alpha: Mor) -> np.ndarray:
-        """dim Hom(cone alpha, w) for every w; consistency check of the
-        covariant computation."""
-        cat = self.cat
-        p = cat.field.p
-        salpha = ac.sigma_mor(alpha)
-        fp = np.zeros(len(cat.verts), dtype=np.int64)
-        for wi, w in enumerate(cat.verts):
-            wo = Obj((w,))
-            m1 = ac.right_mul_matrix(alpha, wo)
-            m2 = ac.right_mul_matrix(salpha, wo)
-            fp[wi] = (m1.shape[1] - fast_rank(m1, p)) \
-                + (m2.shape[0] - fast_rank(m2, p))
-        return fp
-
-    def _fingerprint_solutions(self, fp: np.ndarray, limit: int = 3,
-                               allowed=None) -> list[tuple]:
-        """Multisets x with sum of Hom(-, x) dimensions equal to fp.
-
-        Exhaustive bounded search with pruning; limit caps how many
-        solutions are produced (enough to detect ambiguity).  ``allowed``
-        restricts the support."""
-        cat = self.cat
-        n = len(cat.verts)
-        usable = [allowed is None or v in set(allowed) for v in cat.verts]
-        # suffix coverage: a leftover fingerprint entry with no remaining
-        # column touching it prunes the branch
-        cover = np.zeros((n + 1, n), dtype=bool)
-        for idx in range(n - 1, -1, -1):
-            cover[idx] = cover[idx + 1]
-            if usable[idx]:
-                cover[idx] = cover[idx] | (cat.dims[:, idx] > 0)
-        sols: list[tuple] = []
-
-        def rec(idx, remaining, acc):
-            if len(sols) >= limit:
-                return
-            if not np.any(remaining):
-                sols.append(tuple(acc))
-                return
-            if idx == n or np.any((remaining > 0) & ~cover[idx]):
-                return
-            if not usable[idx]:
-                rec(idx + 1, remaining, acc)
-                return
-            v = cat.verts[idx]
-            col = cat.dims[:, idx]
-            nz = col > 0
-            max_m = int((remaining[nz] // col[nz]).min()) if nz.any() else 0
-            for m in range(max_m, -1, -1):
-                rec(idx + 1, remaining - m * col, acc + [v] * m)
-
-        rec(0, np.asarray(fp, dtype=np.int64).copy(), [])
-        return sorted(tuple(sorted(s)) for s in sols)
-
     def _approx_criterion_cofibrant(self, v: str) -> bool:
-        """Independent test: the minimal left perp-approximation of v lands
-        in the additive closure of sigma T."""
+        """The definition of a cofibrant vertex: its minimal left
+        perp-approximation lands in the additive closure of sigma T."""
         f = self.approx(Obj((v,)), "left", "perp", minimize=True)
         return all(u in self.sigma_t_ind for u in f.cod.summands)
 
-    def _cones_of_pair(self, t1: tuple, t0: tuple, found: set,
-                       ambiguous: set, stop_fp=None) -> bool:
-        """Sweep the radical morphisms of one side pair in batches.
-
-        Records recovered cone multisets; with stop_fp set, returns True as
-        soon as some cone has exactly that fingerprint."""
-        cat = self.cat
-        radical = self._cone_tensors(t1, t0)[0]
-        x1, x0 = Obj(t1), Obj(t0)
-        d = ac.hom_space_dim(cat, x1, x0)
-        seen_fp = self._seen_cone_fps
-        for coeff_rows in self._coeff_chunks(len(radical),
-                                             self.params.pair_cap_exp, 1024):
-            rows = np.zeros((len(coeff_rows), d), dtype=np.int64)
-            rows[:, radical] = coeff_rows
-            fps = self._batch_cone_fps(t1, t0, rows)
-            for rown in range(fps.shape[0]):
-                key = tuple(int(x) for x in fps[rown])
-                if stop_fp is not None and key == stop_fp:
-                    return True
-                if key in seen_fp:
-                    continue
-                seen_fp.add(key)
-                sols = self._fingerprint_solutions(fps[rown], limit=3)
-                if not sols:
-                    self.crosscheck_disagreements.append(
-                        f"cone fingerprint {key} admits no multiset solution")
-                    continue
-                if len(sols) > 1:
-                    # the fingerprint matrix can be singular (type D);
-                    # ambiguous cones are re-checked against the final
-                    # vertex support
-                    ambiguous.add(key)
-                    continue
-                ms = sols[0]
-                alpha = ac.vec_to_mor(cat, x1, x0, rows[rown])
-                dual = self._cone_fingerprint_dual(alpha)
-                dual_expect = np.zeros(len(cat.verts), dtype=np.int64)
-                for v in ms:
-                    dual_expect += cat.dims[cat.vidx[v], :]
-                if not np.array_equal(dual, dual_expect):
-                    self.crosscheck_disagreements.append(
-                        f"cone fingerprint dual mismatch for {ms}")
-                found.add(ms)
-        return False
-
     def _enumerate_ts(self) -> None:
-        cat = self.cat
-        pr = self.params
-        found: set[tuple] = set()
-        ambiguous: set[tuple] = set()
-        self._seen_cone_fps: set[tuple] = set()
-        blind = _multisets(self.t_ind, pr.mult_bound, pr.blind_side_total)
-        for t1 in blind:
-            for t0 in blind:
-                self._cones_of_pair(t1, t0, found, ambiguous)
-        vertices = {v for ms in found for v in ms}
-        # every vertex is settled by a targeted enumeration: a cofibrant
-        # vertex v is the cone of some morphism into its minimal right
-        # T-approximation source, and a single-vertex cone fingerprint is
-        # never ambiguous (fingerprint-kernel vectors have mixed signs on
-        # several vertices), so the hunt is conclusive
-        sides = _multisets(self.t_ind, pr.mult_bound, pr.side_total)
-        for v in cat.verts:
-            crit = self._approx_criterion_cofibrant(v)
-            if crit and v not in vertices:
-                t0_mor = self.approx(Obj((v,)), "right", "T", minimize=True)
-                t0 = tuple(sorted(t0_mor.dom.summands))
-                target = tuple(int(x) for x in cat.dims[:, cat.vidx[v]])
-                hit = False
-                for t1 in sides:
-                    if self._cones_of_pair(t1, t0, found, ambiguous,
-                                           stop_fp=target):
-                        hit = True
-                        break
-                if hit:
-                    found.add((v,))
-                    vertices.add(v)
-            if crit != (v in vertices):
-                self.crosscheck_disagreements.append(
-                    f"cofibrancy cross-check disagreement at vertex {v!r}: "
-                    f"cone enumeration says {v in vertices}, "
-                    f"approximation criterion says {crit}")
-        for key in sorted(ambiguous):
-            fp = np.array(key, dtype=np.int64)
-            if not self._fingerprint_solutions(fp, limit=1, allowed=vertices):
-                self.crosscheck_disagreements.append(
-                    f"ambiguous cone fingerprint {key} is not realizable "
-                    "over the enumerated cofibrant vertices")
-        self.ts_ind = tuple(sorted(vertices))
-        self.ts_list = [Obj(ms) for ms in
-                        _multisets(self.ts_ind, pr.ts_total, pr.ts_total)]
+        self.ts_ind = tuple(sorted(v for v in self.cat.verts
+                                   if self._approx_criterion_cofibrant(v)))
+        self.ts_list = [
+            Obj(ms) for n in range(self.params.ts_total + 1)
+            for ms in itertools.combinations_with_replacement(self.ts_ind, n)]
 
     def is_cofibrant(self, x: Obj) -> bool:
         """Cones are closed under direct sums and summands, so membership is
-        summand-wise membership among the enumerated indecomposable cones."""
+        summand-wise membership among the cofibrant indecomposables, which
+        ``_approx_criterion_cofibrant`` decides."""
         return all(v in self.ts_ind for v in x.summands)
 
     # ------------------------------------------------------------- homotopies

@@ -77,6 +77,7 @@ def test_list_ts_command():
     assert r.returncode == 0
     data = json.loads(r.stdout)
     w = data["checks"][0]["witnesses"]
+    assert set(w) == {"indecomposables", "objects"}
     assert w["indecomposables"] == ["13", "25"]
 
 

@@ -76,6 +76,12 @@ def test_both_homotopy_modes_share_one_square_space(cat, rigid,
         assert both == (oracle.rlp_all_squares(rigid, ell, r, "htp_top")
                         and oracle.rlp_all_squares(rigid, ell, r,
                                                    "htp_bottom"))
+        calls.clear()
+        rep = oracle.lifting_report(rigid, ell, r)
+        assert len(calls) == 1
+        assert (rep.plain, rep.htp_top, rep.htp_bottom) == tuple(
+            oracle.rlp_all_squares(rigid, ell, r, mode)
+            for mode in ("plain", "htp_top", "htp_bottom"))
 
 
 def test_rlp_monotone_under_direct_sum(cat, rigid):
