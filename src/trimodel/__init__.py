@@ -7,7 +7,7 @@ factorizations, homotopy relations and the module-category equivalence,
 everything over a small prime field with no tolerances.
 """
 
-from .exactlin import Mat, PrimeField
+from .exactlin import PrimeField
 from .meshcat import (DynkinQuiver, MeshCategory, TransQuiver, build_dynkin,
                       build_type_a, dynkin_a, dynkin_d4_subspace, load,
                       make_dynkin, make_quiver, save)

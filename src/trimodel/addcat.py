@@ -5,6 +5,15 @@ matrices whose (i, j) block is a coefficient vector over the Hom basis from
 the j-th source summand to the i-th target summand.  Composition is the
 bilinear extension of the category's structure constants.
 
+Morphisms between direct sums, such as [f a], [1; 0] or [[1, h], [1, 0]],
+are assembled by ``block_mor`` from a grid of morphisms between the
+summand objects.  The Hom functors are also available as tensors over a
+whole Hom space: ``left_mul_tensor`` gives Hom(w, f) and
+``right_mul_tensor`` gives Hom(f, z) for every f in Hom(x, y) at once, and
+``apply_tensor`` contracts either with a stack of coefficient rows.
+``left_mul_matrix`` and ``right_mul_matrix`` build the same matrices for
+one morphism, blockwise, which is cheaper for a single call.
+
 The suspension acts summand-wise on objects and, via the basis maps computed
 by the mesh layer, linearly on blocks.
 """
@@ -175,18 +184,32 @@ def compose(g: Mor, f: Mor) -> Mor:
     return out
 
 
-def dsum_mor(*fs: Mor) -> Mor:
-    cat = fs[0].cat
-    dom = dsum_obj(*(f.dom for f in fs))
-    cod = dsum_obj(*(f.cod for f in fs))
-    out = Mor(cat, dom, cod)
-    ri = ci = 0
-    for f in fs:
-        for (i, j), v in f.blocks.items():
-            out.set_block(ri + i, ci + j, v)
-        ri += len(f.cod)
-        ci += len(f.dom)
+def block_mor(cat: MeshCategory, rows, cols, grid) -> Mor:
+    """The block matrix from the sum of cols to the sum of rows whose
+    (r, c) entry is grid[r][c], a morphism cols[c] -> rows[r], or None for
+    zero."""
+    if len(grid) != len(rows) or any(len(line) != len(cols) for line in grid):
+        raise ValueError(f"grid must be {len(rows)} x {len(cols)}")
+    out = Mor(cat, dsum_obj(*cols), dsum_obj(*rows))
+    ri = 0
+    for r, (row, line) in enumerate(zip(rows, grid)):
+        ci = 0
+        for c, (col, f) in enumerate(zip(cols, line)):
+            if f is not None:
+                if f.cat is not cat or f.dom != col or f.cod != row:
+                    raise ValueError(f"grid entry ({r}, {c}) is not a "
+                                     "morphism from its column to its row")
+                for (i, j), vec in f.blocks.items():
+                    out.blocks[(ri + i, ci + j)] = vec
+            ci += len(col)
+        ri += len(row)
     return out
+
+
+def dsum_mor(*fs: Mor) -> Mor:
+    return block_mor(fs[0].cat, [f.cod for f in fs], [f.dom for f in fs],
+                     [[f if i == j else None for j, f in enumerate(fs)]
+                      for i in range(len(fs))])
 
 
 # ------------------------------------------------------------- vectorization
@@ -290,6 +313,64 @@ def right_mul_matrix(f: Mor, z: Obj) -> np.ndarray:
     return m % cat.field.p
 
 
+def left_mul_tensor(cat: MeshCategory, w: Obj, x: Obj, y: Obj) -> np.ndarray:
+    """L of shape (dim Hom(x, y), dim Hom(w, y), dim Hom(w, x)) with
+    ``left_mul_matrix(f, w)`` = sum_c f_c L[c] mod p for f in Hom(x, y) in
+    hom_layout coordinates: L[c] is Hom(w, -) of the c-th elementary
+    morphism."""
+    lay, d = hom_layout(cat, x, y)
+    lay_y, dy = hom_layout(cat, w, y)
+    lay_x, dx = hom_layout(cat, w, x)
+    out = np.zeros((d, dy, dx), dtype=np.int64)
+    if not out.size:
+        return out
+    # blocks (i, k) of Hom(w, y) and (j, k) of Hom(w, x), k indexing w
+    dst = {ij: (off, dd) for ij, off, dd in lay_y}
+    src = {ij: (off, dd) for ij, off, dd in lay_x}
+    for (i, j), off, dd in lay:
+        for k, wk in enumerate(w.summands):
+            tensor = cat.comp.get((wk, x.summands[j], y.summands[i]))
+            if tensor is None or (i, k) not in dst or (j, k) not in src:
+                continue
+            (r0, rd), (c0, cd) = dst[(i, k)], src[(j, k)]
+            out[off:off + dd, r0:r0 + rd, c0:c0 + cd] = \
+                tensor.transpose(0, 2, 1)
+    return out
+
+
+def right_mul_tensor(cat: MeshCategory, x: Obj, y: Obj, z: Obj) -> np.ndarray:
+    """R of shape (dim Hom(x, y), dim Hom(x, z), dim Hom(y, z)) with
+    ``right_mul_matrix(f, z)`` = sum_c f_c R[c] mod p for f in Hom(x, y) in
+    hom_layout coordinates: R[c] is Hom(-, z) of the c-th elementary
+    morphism."""
+    lay, d = hom_layout(cat, x, y)
+    lay_x, dx = hom_layout(cat, x, z)
+    lay_y, dy = hom_layout(cat, y, z)
+    out = np.zeros((d, dx, dy), dtype=np.int64)
+    if not out.size:
+        return out
+    # blocks (l, j) of Hom(x, z) and (l, i) of Hom(y, z), l indexing z
+    dst = {ij: (off, dd) for ij, off, dd in lay_x}
+    src = {ij: (off, dd) for ij, off, dd in lay_y}
+    for (i, j), off, dd in lay:
+        for l, zl in enumerate(z.summands):
+            tensor = cat.comp.get((x.summands[j], y.summands[i], zl))
+            if tensor is None or (l, j) not in dst or (l, i) not in src:
+                continue
+            (r0, rd), (c0, cd) = dst[(l, j)], src[(l, i)]
+            out[off:off + dd, r0:r0 + rd, c0:c0 + cd] = \
+                tensor.transpose(1, 2, 0)
+    return out
+
+
+def apply_tensor(t: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
+    """The (n, r, c) stack of sum_k f_k t[k] mod p for the n rows f of
+    rows: Hom(w, f) or Hom(f, z) for every f when t is a
+    ``left_mul_tensor`` or a ``right_mul_tensor``."""
+    d, r, c = t.shape
+    return (rows @ t.reshape(d, r * c) % p).reshape(len(rows), r, c)
+
+
 # ------------------------------------------------------- structure utilities
 
 
@@ -346,18 +427,19 @@ def inverse(f: Mor) -> Mor:
     d = _diagonal_part(f)
     n = sub(f, d)
     # invert the per-type scalar matrices; d_inv: cod -> dom
-    d_inv = Mor(cat, f.cod, f.dom)
+    grid = [[None] * len(f.cod) for _ in f.dom.summands]
     for v in set(f.dom.summands):
         rows = [i for i, w in enumerate(f.cod.summands) if w == v]
         cols = [j for j, w in enumerate(f.dom.summands) if w == v]
         m = np.array([[int(d.block(i, j)[0]) for j in cols] for i in rows],
                      dtype=np.int64)
         mi = array_inverse(m, p)
+        one = identity(cat, Obj((v,)))
         for a, j in enumerate(cols):
             for b, i in enumerate(rows):
-                vec = np.zeros(cat.hom_dim(v, v), dtype=np.int64)
-                vec[0] = mi[a, b]
-                d_inv.set_block(j, i, vec)
+                grid[j][i] = smul(int(mi[a, b]), one)
+    d_inv = block_mor(cat, [Obj((v,)) for v in f.dom.summands],
+                      [Obj((v,)) for v in f.cod.summands], grid)
     term = d_inv
     total = d_inv
     for _ in range(cat.radical_length + 1):

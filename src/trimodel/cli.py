@@ -86,8 +86,19 @@ def _build_category(args):
             raise QuiverError("--type dynkin requires --quiver")
         with open(args.quiver, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        q = meshcat.make_dynkin(data.get("vertices", []),
-                                [tuple(a) for a in data.get("arrows", [])])
+        if not isinstance(data, dict):
+            raise QuiverError("quiver file must hold a JSON object")
+        verts = data.get("vertices", [])
+        arrows = data.get("arrows", [])
+        if not isinstance(verts, list) or \
+                not all(isinstance(v, str) for v in verts):
+            raise QuiverError("vertices must be a list of strings")
+        if not isinstance(arrows, list) or not all(
+                isinstance(a, list) and len(a) == 2
+                and all(isinstance(v, str) for v in a) for a in arrows):
+            raise QuiverError("arrows must be [source, target] pairs of "
+                              "vertex names")
+        q = meshcat.make_dynkin(verts, [tuple(a) for a in arrows])
         return meshcat.build_dynkin(q, field)
     if args.type == "d4-paper":
         return meshcat.build_dynkin(meshcat.dynkin_d4_subspace(), field)

@@ -279,7 +279,7 @@ def report(binding: ScenarioBinding) -> Report:
 
     # unique lift: Hom(-, g) restricted to T is injective, so alpha = b
     from .exactlin import array_kernel
-    m = rigid.hom_functor_matrix(mo["g"], nm["Tpp"])
+    m = ac.left_mul_matrix(mo["g"], Obj((nm["Tpp"],)))
     ker = array_kernel(m, p)
     rep.add("lift-unique-alpha-is-b", not ker and not ac.compose(
         mo["g"], mo["b"]).is_zero(),

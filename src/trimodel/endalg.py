@@ -3,11 +3,13 @@
 The algebra is presented on the union of the Hom bases between T vertices,
 with the opposite-composition product (a . b is the composite "a then b" in
 the category).  Each object X yields a module on the direct sum of the
-spaces Hom(t, X), t in T, acting by precomposition.  The functor sending a
-morphism to the induced intertwiner is assembled per vertex pair, and the
-equivalence checks compare stable Hom dimensions (Hom modulo morphisms
-factoring through the suspension of T) with intertwiner dimensions, plus
-bijectivity of the induced map, exactly.
+spaces Hom(t, X), t in T, acting by precomposition.  Both the action and
+the functor sending a morphism to the induced intertwiner are read off the
+Hom-functor tensors of ``addcat`` (``right_mul_tensor`` and
+``left_mul_tensor``) over a whole Hom space at once, and the equivalence
+checks compare stable Hom dimensions (Hom modulo morphisms factoring
+through the suspension of T) with intertwiner dimensions, plus bijectivity
+of the induced map, exactly.
 """
 
 from __future__ import annotations
@@ -88,28 +90,22 @@ def module_layout(rigid: RigidStructure, x: Obj):
 
 def module_of(rigid: RigidStructure, x: Obj,
               alg: AlgebraPres | None = None) -> ModuleRep:
+    """The module Hom(T, x): basis element a -> b of the algebra acts as
+    precomposition Hom(b, x) -> Hom(a, x), a slice of the
+    ``right_mul_tensor`` of Hom(a, b) into x."""
     cat = rigid.cat
-    p = cat.field.p
     if alg is None:
         alg = end_algebra(rigid)
     offsets, total = module_layout(rigid, x)
     action = np.zeros((alg.dim, total, total), dtype=np.int64)
-    for i in range(alg.dim):
-        a, b = alg.sources[i], alg.targets[i]
-        k = int(alg.labels[i].rsplit("[", 1)[1].rstrip("]"))
-        src_lay, _ = ac.hom_layout(cat, Obj((b,)), x)
-        dst_lay, _ = ac.hom_layout(cat, Obj((a,)), x)
-        dst_off = {ij[0]: off for ij, off, _ in dst_lay}
-        for (ij, off, d) in src_lay:
-            jx = ij[0]
-            tens = cat.comp.get((a, b, x.summands[jx]))
-            if tens is None or jx not in dst_off:
-                continue
-            # carrier element class_s gets sent to class_s . basis_k
-            blk = tens[:, k, :].T
-            action[i,
-                   offsets[a] + dst_off[jx]: offsets[a] + dst_off[jx] + blk.shape[0],
-                   offsets[b] + off: offsets[b] + off + d] = blk[:, :d] % p
+    i = 0
+    # the algebra basis runs over Hom(a, b) for a, b in T, in that order
+    for a in rigid.t_ind:
+        for b in rigid.t_ind:
+            r = ac.right_mul_tensor(cat, Obj((a,)), Obj((b,)), x)
+            action[i:i + len(r), offsets[a]:offsets[a] + r.shape[1],
+                   offsets[b]:offsets[b] + r.shape[2]] = r % cat.field.p
+            i += len(r)
     return ModuleRep(total, action, offsets)
 
 
@@ -167,17 +163,26 @@ def find_module_iso(rigid: RigidStructure, m: ModuleRep, n: ModuleRep,
     return None
 
 
-def induced_map_matrix(rigid: RigidStructure, f: Mor) -> np.ndarray:
-    """The intertwiner Hom(T, f): block-assembled action on the carriers."""
+def induced_tensor(rigid: RigidStructure, x: Obj, y: Obj) -> np.ndarray:
+    """Hom(T, -) on Hom(x, y) as a tensor: slice c is the intertwiner
+    Hom(T, x) -> Hom(T, y) of the c-th elementary morphism, assembled from
+    the ``left_mul_tensor`` of each t in T."""
     cat = rigid.cat
-    src_off, src_dim = module_layout(rigid, f.dom)
-    dst_off, dst_dim = module_layout(rigid, f.cod)
-    out = np.zeros((dst_dim, src_dim), dtype=np.int64)
+    src_off, src_dim = module_layout(rigid, x)
+    dst_off, dst_dim = module_layout(rigid, y)
+    out = np.zeros((ac.hom_space_dim(cat, x, y), dst_dim, src_dim),
+                   dtype=np.int64)
     for t in rigid.t_ind:
-        blk = ac.left_mul_matrix(f, Obj((t,)))
-        out[dst_off[t]: dst_off[t] + blk.shape[0],
-            src_off[t]: src_off[t] + blk.shape[1]] = blk
+        lt = ac.left_mul_tensor(cat, Obj((t,)), x, y)
+        out[:, dst_off[t]:dst_off[t] + lt.shape[1],
+            src_off[t]:src_off[t] + lt.shape[2]] = lt
     return out
+
+
+def induced_map_matrix(rigid: RigidStructure, f: Mor) -> np.ndarray:
+    """The intertwiner Hom(T, f) on the carriers."""
+    return ac.apply_tensor(induced_tensor(rigid, f.dom, f.cod),
+                           ac.mor_to_vec(f)[None], rigid.cat.field.p)[0]
 
 
 def _pair_data(rigid: RigidStructure, alg: AlgebraPres, mods: dict,
@@ -191,12 +196,8 @@ def _pair_data(rigid: RigidStructure, alg: AlgebraPres, mods: dict,
     d_ideal = rigid.ideal_dim_pair("sigmaT", u, v)
     stable = d_hom - d_ideal
     mh = module_hom_dim(rigid, mods[u], mods[v], alg)
-    cols = []
-    for k in range(d_hom):
-        e = ac.elementary(cat, uo, vo, 0, 0, k)
-        cols.append(induced_map_matrix(rigid, e).reshape(-1))
-    if cols:
-        img = np.stack(cols, axis=1) % p
+    if d_hom:
+        img = induced_tensor(rigid, uo, vo).reshape(d_hom, -1).T % p
         img_rank = array_rank(img, p)
         ideal_cols = rigid.ideal_span_matrix("sigmaT", uo, vo)
         ideal_zero = not np.any((img @ ideal_cols) % p)
@@ -256,13 +257,11 @@ def check_equivalence(rigid: RigidStructure, pair_total: int = 2,
     for _ in range(min(explicit_pairs, len(objs) ** 2)):
         x = objs[int(rng.integers(0, len(objs)))]
         y = objs[int(rng.integers(0, len(objs)))]
-        layout, d_hom = ac.hom_layout(cat, x, y)
-        cols = []
-        for (ij, off, d) in layout:
-            for k in range(d):
-                e = ac.elementary(cat, x, y, ij[0], ij[1], k)
-                cols.append(induced_map_matrix(rigid, e).reshape(-1))
-        img_rank = array_rank(np.stack(cols, axis=1) % p, p) if cols else 0
+        d_hom = ac.hom_space_dim(cat, x, y)
+        img_rank = 0
+        if d_hom:
+            img = induced_tensor(rigid, x, y).reshape(d_hom, -1).T % p
+            img_rank = array_rank(img, p)
         ideal_cols = rigid.ideal_span_matrix("sigmaT", x, y)
         ideal_dim = array_rank(ideal_cols, p) if ideal_cols.size else 0
         mh = module_hom_dim(rigid, module_of(rigid, x, alg),

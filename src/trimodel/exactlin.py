@@ -5,13 +5,13 @@ kernel computations done here.  Matrices are dense int64 numpy arrays with
 entries kept reduced to [0, p); arithmetic is exact, so every downstream
 equality is an honest equality (no tolerances anywhere).
 
-Two layers are provided: array-level functions (``array_rref``,
-``array_rank``, ...) that carry the characteristic explicitly and are used on
-hot paths, and the small ``Mat`` wrapper bundling a ``PrimeField`` for code
-that wants self-describing values.  ``batch_rank`` takes the ranks of a
-whole (n, r, c) stack of matrices at once, for searches and suites that test
-many morphisms together; it eliminates in int16, which is exact because
-p <= ``MAX_CHAR`` keeps every product in a row update below 2^15.
+Every function takes plain arrays and the characteristic: ``array_rref``
+and what is built on it (rank, solve, kernel, span membership, inverse),
+``fast_rank`` for single small matrices in hot loops, and ``batch_rank``,
+which takes the ranks of a whole (n, r, c) stack of matrices at once, for
+searches and suites that test many morphisms together; it eliminates in
+int16, which is exact because p <= ``MAX_CHAR`` keeps every product in a row
+update below 2^15.
 """
 
 from __future__ import annotations
@@ -281,80 +281,3 @@ def ragged_rank(stacks, p: int) -> list[np.ndarray]:
             out[i] = ranks[at:at + len(stacks[i])]
             at += len(stacks[i])
     return out
-
-
-class Mat:
-    """Dense matrix over F_p; entries stored reduced in row-major order."""
-
-    __slots__ = ("field", "a")
-
-    def __init__(self, field: PrimeField, entries) -> None:
-        self.field = field
-        self.a = _as_matrix(entries, field.p)
-
-    @classmethod
-    def zeros(cls, field: PrimeField, rows: int, cols: int) -> "Mat":
-        return cls(field, np.zeros((rows, cols), dtype=np.int64))
-
-    @classmethod
-    def identity(cls, field: PrimeField, n: int) -> "Mat":
-        return cls(field, np.eye(n, dtype=np.int64))
-
-    @property
-    def rows(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.a.shape[1]
-
-    @property
-    def entries(self) -> list[int]:
-        return [int(x) for x in self.a.reshape(-1)]
-
-    def transpose(self) -> "Mat":
-        return Mat(self.field, self.a.T)
-
-    def __matmul__(self, other: "Mat") -> "Mat":
-        if self.field != other.field:
-            raise ValueError("field mismatch")
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        return Mat(self.field, (self.a @ other.a) % self.field.p)
-
-    def __add__(self, other: "Mat") -> "Mat":
-        return Mat(self.field, self.a + other.a)
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        return Mat(self.field, self.a - other.a)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Mat)
-            and self.field == other.field
-            and self.a.shape == other.a.shape
-            and bool(np.array_equal(self.a, other.a))
-        )
-
-    def __repr__(self) -> str:
-        return f"Mat(p={self.field.p}, {self.a.tolist()})"
-
-
-def rank(m: Mat) -> int:
-    """Row rank of m over F_p."""
-    return array_rank(m.a, m.field.p)
-
-
-def solve(a: Mat, b) -> np.ndarray | None:
-    """One solution x of a @ x = b, free variables set to 0, or None."""
-    return array_solve(a.a, b, a.field.p)
-
-
-def kernel_basis(m: Mat) -> list[np.ndarray]:
-    """Basis of the null space of m; size is cols - rank."""
-    return array_kernel(m.a, m.field.p)
-
-
-def in_span(v, s: list, p: int):
-    """True (with coefficients) iff v lies in span(s) over F_p."""
-    return array_in_span(v, s, p)

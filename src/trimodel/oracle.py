@@ -13,12 +13,15 @@ The generating-family oracle decides many morphisms at once: it walks the
 generator pairs in family order and, per pair, ranks the lifting matrices
 of every morphism still lifting against every generator row together (one
 ``batch_rank`` call per matrix shape), dropping a morphism at its first
-failing pair.  The lemma suite runs one Hom space at a time: every morphism
-of Hom(x, y) is a row of a coefficient array, ideal membership and
-solvability of the homotopy correction are products with annihilators of
-row spaces, and the weq / fib flags are batched ranks; only the
-weak-cofibration test (a retraction solve and lifting checks) stays per
-morphism.
+failing pair.  The lifting matrices are contractions of the Hom-functor
+tensors of ``addcat``: ``left_mul_tensor`` for Hom(w, r) over the tested
+morphisms r and ``right_mul_tensor`` for Hom(g, z) over the generator rows
+g; neither is kept beyond the call.  The lemma suite runs one Hom space at
+a time: every morphism of Hom(x, y) is a row of a coefficient array, ideal
+membership and solvability of the homotopy correction are products with
+annihilators of row spaces, and the weq / fib flags are batched ranks;
+only the weak-cofibration test (a retraction solve and lifting checks)
+stays per morphism.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .addcat import Mor, Obj
 from .exactlin import array_kernel, array_solve, fast_rank, ragged_rank
 from .meshcat import MeshCategory
 from .report import Report, mor_to_json
-from .rigidmodel import RigidStructure, apply_tensor
+from .rigidmodel import RigidStructure
 
 
 @dataclass
@@ -230,35 +233,6 @@ def _generator_rows(rigid: RigidStructure, mult_bound: int,
     return out
 
 
-def _gen_tensor(rigid: RigidStructure, r_obj: Obj, a_obj: Obj, z_obj: Obj):
-    """Per-coordinate precomposition matrices: t[c] is right_mul_matrix of
-    the c-th elementary morphism R -> A, evaluated into Hom(-, Z)."""
-    cache = getattr(rigid, "_gen_tensor_cache", None)
-    if cache is None:
-        cache = rigid._gen_tensor_cache = {}
-    key = (r_obj.summands, a_obj.summands, z_obj.summands)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    cat = rigid.cat
-    layout, dim_g = ac.hom_layout(cat, r_obj, a_obj)
-    lay_r, d_rz = ac.hom_layout(cat, r_obj, z_obj)
-    lay_a, d_az = ac.hom_layout(cat, a_obj, z_obj)
-    # entries lie in [0, p) and p <= 97: int8 keeps the cache small
-    t = np.zeros((dim_g, d_rz, d_az), dtype=np.int8)
-    dst = {ij: (off, d) for ij, off, d in lay_r}     # (l, j): R_j -> Z_l
-    src = {ij: (off, d) for ij, off, d in lay_a}     # (l, i): A_i -> Z_l
-    for (i, j), off, d in layout:
-        for l, z in enumerate(z_obj.summands):
-            tensor = cat.comp.get((r_obj.summands[j], a_obj.summands[i], z))
-            if tensor is None or (l, j) not in dst or (l, i) not in src:
-                continue
-            (r0, rd), (c0, cd) = dst[(l, j)], src[(l, i)]
-            t[off:off + d, r0:r0 + rd, c0:c0 + cd] = tensor.transpose(1, 2, 0)
-    cache[key] = t
-    return t
-
-
 def _generating_failures(rigid: RigidStructure, spaces, budget: int,
                          mult_bound: int, a_total: int | None):
     """For every (x, y, coeffs) of spaces, one int per row of coeffs: the
@@ -284,8 +258,9 @@ def _generating_failures(rigid: RigidStructure, spaces, budget: int,
         cache = tensors.setdefault(s, {})
         lt = cache.get(w.summands)
         if lt is None:
-            lt = cache[w.summands] = rigid.hom_tensor(w, *spaces[s][:2])
-        return apply_tensor(lt, coeffs, p)
+            lt = cache[w.summands] = ac.left_mul_tensor(rigid.cat, w,
+                                                        *spaces[s][:2])
+        return ac.apply_tensor(lt, coeffs, p)
 
     for k, gen in enumerate(gens):
         n_g = len(gen.rows)
@@ -297,8 +272,8 @@ def _generating_failures(rigid: RigidStructure, spaces, budget: int,
             # Hom(g, Z): Hom(A, Z) -> Hom(R, Z) for every generator row g
             hit = rg.get(z.summands)
             if hit is None:
-                hit = rg[z.summands] = apply_tensor(
-                    _gen_tensor(rigid, gen.r_obj, gen.a_obj, z), gen.rows, p)
+                hit = rg[z.summands] = ac.apply_tensor(ac.right_mul_tensor(
+                    rigid.cat, gen.r_obj, gen.a_obj, z), gen.rows, p)
             return hit
 
         owners, lams, psis = [], [], []
@@ -374,14 +349,12 @@ def _sample_mor(cat, pool, rng) -> Mor:
 
 def _random_iso(cat, x: Obj, rng) -> Mor:
     """Identity plus a random radical part: always invertible."""
-    f = ac.random_morphism_rng(cat, x, x, rng)
-    for i, v in enumerate(x.summands):
-        for j, w in enumerate(x.summands):
-            if v == w:
-                vec = f.block(i, j).copy()
-                vec[0] = 1 if i == j else 0
-                f.set_block(i, j, vec)
-    return f
+    total = ac.hom_space_dim(cat, x, x)
+    vec = rng.integers(0, cat.field.p, size=total)
+    for (i, j), off, _ in ac.hom_layout(cat, x, x)[0]:
+        if x.summands[i] == x.summands[j]:
+            vec[off] = i == j
+    return ac.vec_to_mor(cat, x, x, vec)
 
 
 def _wfib_family(rigid: RigidStructure, pool, rng, count: int) -> list[Mor]:
@@ -414,6 +387,12 @@ def _fib_family(rigid: RigidStructure, pool, rng, count: int) -> list[Mor]:
     return fam[:count]
 
 
+def _inclusion(cat, a_obj: Obj, b_obj: Obj) -> Mor:
+    """The coproduct inclusion [1; 0]: A -> A + B."""
+    return ac.block_mor(cat, [a_obj, b_obj], [a_obj],
+                        [[ac.identity(cat, a_obj)], [None]])
+
+
 def _wcof_family(rigid: RigidStructure, pool, rng, count: int) -> list[Mor]:
     """Canonical inclusions into X + sigma T, conjugated by isomorphisms."""
     cat = rigid.cat
@@ -423,11 +402,8 @@ def _wcof_family(rigid: RigidStructure, pool, rng, count: int) -> list[Mor]:
         k = int(rng.integers(0, 3))
         ts = tuple(rigid.sigma_t_ind[int(rng.integers(0, len(rigid.sigma_t_ind)))]
                    for _ in range(k))
-        cod = ac.dsum_obj(x, Obj(ts))
-        inc = Mor(cat, x, cod)
-        for (i, j), vec in ac.identity(cat, x).blocks.items():
-            inc.set_block(i, j, vec)
-        u = _random_iso(cat, cod, rng)
+        inc = _inclusion(cat, x, Obj(ts))
+        u = _random_iso(cat, inc.cod, rng)
         v = _random_iso(cat, x, rng)
         fam.append(ac.compose(u, ac.compose(inc, v)))
     return fam
@@ -460,12 +436,10 @@ def run_axiom_suite(cat: MeshCategory, rigid: RigidStructure,
     for q in wfibs:
         z = _sample_obj(pool, rng)
         pb = ac.dsum_mor(q, ac.identity(cat, z))
-        top = Mor(cat, ac.dsum_obj(q.dom, z), q.dom)
-        for (i, j), vec in ac.identity(cat, q.dom).blocks.items():
-            top.set_block(i, j, vec)
-        bottom = Mor(cat, ac.dsum_obj(q.cod, z), q.cod)
-        for (i, j), vec in ac.identity(cat, q.cod).blocks.items():
-            bottom.set_block(i, j, vec)
+        top = ac.block_mor(cat, [q.dom], [q.dom, z],
+                           [[ac.identity(cat, q.dom), None]])
+        bottom = ac.block_mor(cat, [q.cod], [q.cod, z],
+                              [[ac.identity(cat, q.cod), None]])
         if ac.compose(q, top) != ac.compose(bottom, pb):
             bad.append(("square does not commute", mor_to_json(q)))
             continue
@@ -498,9 +472,7 @@ def run_axiom_suite(cat: MeshCategory, rigid: RigidStructure,
     for _ in range(n):
         a_obj = _sample_obj(pool, rng)
         b_obj = rigid.ts_list[int(rng.integers(0, len(rigid.ts_list)))]
-        inc = Mor(cat, a_obj, ac.dsum_obj(a_obj, b_obj))
-        for (i, j), vec in ac.identity(cat, a_obj).blocks.items():
-            inc.set_block(i, j, vec)
+        inc = _inclusion(cat, a_obj, b_obj)
         for q in wfibs:
             if not rlp_all_squares(rigid, inc, q, "plain"):
                 bad.append({"A": list(a_obj.summands), "B": list(b_obj.summands)})
@@ -567,9 +539,7 @@ def run_axiom_suite(cat: MeshCategory, rigid: RigidStructure,
     for _ in range(max(4, n // 4)):
         a_obj = _sample_obj(pool, rng)
         b_obj = rigid.ts_list[int(rng.integers(0, len(rigid.ts_list)))]
-        inc = Mor(cat, a_obj, ac.dsum_obj(a_obj, b_obj))
-        for (i, j), vec in ac.identity(cat, a_obj).blocks.items():
-            inc.set_block(i, j, vec)
+        inc = _inclusion(cat, a_obj, b_obj)
         for q in wfibs:
             if not rlp_all_squares(rigid, inc, q, "plain"):
                 bad.append({"cof": mor_to_json(inc), "wfib": mor_to_json(q)})
@@ -693,8 +663,9 @@ def lemma_equivalence_suite(cat: MeshCategory, rigid: RigidStructure,
         in_ideal = _in_span(rigid.ideal_span_matrix("perp", x, y), coeffs, p)
         functor_zero = np.ones(len(coeffs), dtype=bool)
         for t in rigid.t_ind:
-            functor_zero &= ~np.any(apply_tensor(
-                rigid.hom_tensor(Obj((t,)), x, y), coeffs, p), axis=(1, 2))
+            functor_zero &= ~np.any(ac.apply_tensor(
+                ac.left_mul_tensor(cat, Obj((t,)), x, y), coeffs, p),
+                axis=(1, 2))
         bad_a.extend(mor_to_json(mor(n))
                      for n in np.flatnonzero(in_ideal != functor_zero))
         wfib = weq & fib

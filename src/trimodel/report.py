@@ -95,27 +95,40 @@ def mor_to_json(f: Mor) -> dict:
             "blocks": blocks}
 
 
+def _vertex_list(cat: MeshCategory, names, key: str) -> Obj:
+    if not isinstance(names, list) or \
+            not all(isinstance(v, str) for v in names):
+        raise ValueError(f"morphism field {key!r} must be a list of vertex "
+                         "names")
+    for v in names:
+        if v not in cat.vidx:
+            raise ValueError(f"morphism file references unknown vertex {v!r}")
+    return Obj(tuple(names))
+
+
 def mor_from_json(cat: MeshCategory, data: dict) -> Mor:
+    if not isinstance(data, dict):
+        raise ValueError("morphism file must hold a JSON object")
     for key in ("dom", "cod", "blocks"):
         if key not in data:
             raise ValueError(f"morphism file missing field {key!r}")
-    dom = Obj(tuple(data["dom"]))
-    cod = Obj(tuple(data["cod"]))
-    for v in dom.summands + cod.summands:
-        if v not in cat.vidx:
-            raise ValueError(f"morphism file references unknown vertex {v!r}")
+    dom = _vertex_list(cat, data["dom"], "dom")
+    cod = _vertex_list(cat, data["cod"], "cod")
     blocks = data["blocks"]
-    if len(blocks) != len(cod):
+    if not isinstance(blocks, list) or len(blocks) != len(cod):
         raise ValueError("blocks must have one row per codomain summand")
     f = Mor(cat, dom, cod)
     for i, row in enumerate(blocks):
-        if len(row) != len(dom):
+        if not isinstance(row, list) or len(row) != len(dom):
             raise ValueError("blocks row length must match domain summands")
         for j, coeffs in enumerate(row):
             d = cat.hom_dim(dom.summands[j], cod.summands[i])
-            if len(coeffs) != d:
+            # bool is an int subclass, but true is no coefficient
+            if not isinstance(coeffs, list) or len(coeffs) != d or \
+                    not all(type(c) is int for c in coeffs):
                 raise ValueError(
-                    f"blocks[{i}][{j}] must have {d} coefficients")
+                    f"blocks[{i}][{j}] must be a list of {d} integer "
+                    "coefficients")
             if d:
                 f.set_block(i, j, np.array(coeffs, dtype=np.int64))
     return f

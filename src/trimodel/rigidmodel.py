@@ -13,15 +13,18 @@ derives the whole verification surface:
     morphism is bijective for every t in T), fibrations (Hom(sigma t, -)
     surjective), trivial fibrations (both), and weak cofibrations (split
     monos with complement in sigma T); ``class_masks`` gives the first two
-    flags for whole Hom spaces at once, through ``hom_tensor`` and batched
-    ranks;
+    flags for whole Hom spaces at once, through ``addcat.left_mul_tensor``
+    and batched ranks;
   * cofibrant objects: the cones of morphisms between sums of T vertices,
     defined here by the approximation criterion (the minimal left
     perp-approximation of an indecomposable lands in add sigma T); cones
     are closed under sums and summands, so the cofibrant indecomposables
     generate the whole list.  The sweep that recovers the cones through
     exact cone fingerprints is a test oracle, not part of the build;
-  * cylinders, path objects, right homotopies, homotopy inverses;
+  * cylinders, path objects, right homotopies, homotopy inverses; these,
+    the tautological approximations and both factorizations are block
+    matrices such as [f a], [1; 0] and [[1, h], [1, 0]], assembled by
+    ``addcat.block_mor``;
   * both factorizations and cofibrant replacements, each returned with
     certified factors and exact composite equality.  The replacement search
     tests a candidate's morphisms in chunks, in the same enumeration order
@@ -231,38 +234,24 @@ class RigidStructure:
         return self._tautological_approx(x, side, key)
 
     def _tautological_approx(self, x: Obj, side: str, key) -> Mor:
+        """One copy of u per basis class of Hom(u, x_j) (right) or
+        Hom(x_j, u) (left), mapped to x_j (from x_j) by that class."""
         cat = self.cat
-        if side == "right":
-            summands, blocks = [], []
-            for u in self.subcat(key):
-                for j, xs in enumerate(x.summands):
-                    for k in range(cat.hom_dim(u, xs)):
-                        summands.append(u)
-                        blocks.append((j, k))
-            a = Obj(tuple(summands))
-            f = Mor(cat, a, x)
-            for col, (j, k) in enumerate(blocks):
-                vec = np.zeros(cat.hom_dim(a.summands[col], x.summands[j]),
-                               dtype=np.int64)
-                vec[k] = 1
-                f.set_block(j, col, vec)
-            return f
-        if side == "left":
-            summands, blocks = [], []
-            for u in self.subcat(key):
-                for j, xs in enumerate(x.summands):
-                    for k in range(cat.hom_dim(xs, u)):
-                        summands.append(u)
-                        blocks.append((j, k))
-            a = Obj(tuple(summands))
-            f = Mor(cat, x, a)
-            for row, (j, k) in enumerate(blocks):
-                vec = np.zeros(cat.hom_dim(x.summands[j], a.summands[row]),
-                               dtype=np.int64)
-                vec[k] = 1
-                f.set_block(row, j, vec)
-            return f
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        if side not in ("left", "right"):
+            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        right = side == "right"
+        ends, maps = [], []
+        for u in self.subcat(key):
+            uo = Obj((u,))
+            for j, xs in enumerate(x.summands):
+                d = cat.hom_dim(u, xs) if right else cat.hom_dim(xs, u)
+                for k in range(d):
+                    ends.append(uo)
+                    maps.append(ac.elementary(cat, uo, x, j, 0, k) if right
+                                else ac.elementary(cat, x, uo, 0, j, k))
+        if right:
+            return ac.block_mor(cat, [x], ends, [maps])
+        return ac.block_mor(cat, ends, [x], [[m] for m in maps])
 
     def is_approximation(self, f: Mor, side: str, key) -> bool:
         cat = self.cat
@@ -346,22 +335,18 @@ class RigidStructure:
 
     # ---------------------------------------------------------- morphism classes
 
-    def hom_functor_matrix(self, f: Mor, t: str) -> np.ndarray:
-        """The matrix of Hom(t, f): Hom(t, dom) -> Hom(t, cod)."""
-        return ac.left_mul_matrix(f, Obj((t,)))
-
     def classify(self, f: Mor) -> Classification:
         cat = self.cat
         p = cat.field.p
         weq = True
         for t in self.t_ind:
-            m = self.hom_functor_matrix(f, t)
+            m = ac.left_mul_matrix(f, Obj((t,)))
             if m.shape[0] != m.shape[1] or fast_rank(m, p) != m.shape[0]:
                 weq = False
                 break
         fib = True
         for t in self.t_ind:
-            m = self.hom_functor_matrix(f, cat.sigma_vertex(t))
+            m = ac.left_mul_matrix(f, Obj((cat.sigma_vertex(t),)))
             if fast_rank(m, p) != m.shape[0]:
                 fib = False
                 break
@@ -398,7 +383,8 @@ class RigidStructure:
         nt = len(self.t_ind)
         ws = [Obj((t,)) for t in self.t_ind] + \
             [Obj((self.cat.sigma_vertex(t),)) for t in self.t_ind]
-        mats = [apply_tensor(self.hom_tensor(w, x, y), coeffs, p)
+        mats = [ac.apply_tensor(ac.left_mul_tensor(self.cat, w, x, y),
+                                coeffs, p)
                 for x, y, coeffs in spaces for w in ws]
         full = [r == m.shape[1] for r, m in zip(ragged_rank(mats, p), mats)]
         out = []
@@ -461,42 +447,16 @@ class RigidStructure:
         if got is None:
             return None
         a, h = got
-        u = a.cod
-        y = f.cod
-        yu = ac.dsum_obj(y, u)
-        m = Mor(cat, y, yu)
-        for i in range(len(y)):
-            m.set_block(i, i, ac.identity(cat, y).block(i, i))
-        q = Mor(cat, yu, ac.dsum_obj(y, y))
+        u, y = a.cod, f.cod
         idy = ac.identity(cat, y)
-        for i in range(len(y)):
-            for j in range(len(y)):
-                vec = idy.block(i, j)
-                if np.any(vec):
-                    q.set_block(i, j, vec)
-                    q.set_block(len(y) + i, j, vec)
-        for (i, j), vec in h.blocks.items():
-            q.set_block(i, len(y) + j, vec)
-        K = Mor(cat, f.dom, yu)
-        for (i, j), vec in g.blocks.items():
-            K.set_block(i, j, vec)
-        for (i, j), vec in a.blocks.items():
-            K.set_block(len(y) + i, j, vec)
+        m = ac.block_mor(cat, [y, u], [y], [[idy], [None]])
+        q = ac.block_mor(cat, [y, y], [y, u], [[idy, h], [idy, None]])
+        K = ac.block_mor(cat, [y, u], [f.dom], [[g], [a]])
         # verify the defining equations exactly
-        delta = Mor(cat, y, ac.dsum_obj(y, y))
-        for i in range(len(y)):
-            for j in range(len(y)):
-                vec = idy.block(i, j)
-                if np.any(vec):
-                    delta.set_block(i, j, vec)
-                    delta.set_block(len(y) + i, j, vec)
-        assert ac.compose(q, m) == delta
-        fg = Mor(cat, f.dom, ac.dsum_obj(y, y))
-        for (i, j), vec in f.blocks.items():
-            fg.set_block(i, j, vec)
-        for (i, j), vec in g.blocks.items():
-            fg.set_block(len(y) + i, j, vec)
-        assert ac.compose(q, K) == fg
+        assert ac.compose(q, m) == \
+            ac.block_mor(cat, [y, y], [y], [[idy], [idy]])
+        assert ac.compose(q, K) == \
+            ac.block_mor(cat, [y, y], [f.dom], [[f], [g]])
         assert self.classify(m).weq
         return RightHomotopy(m, q, K, h)
 
@@ -505,23 +465,11 @@ class RigidStructure:
         cat = self.cat
         a = self.tautological_approx(x, "left", "perp")
         u = a.cod
-        xu = ac.dsum_obj(x, u)
-        xx = ac.dsum_obj(x, x)
         idx = ac.identity(cat, x)
-        i = Mor(cat, xx, xu)
-        for (r, c), vec in idx.blocks.items():
-            i.set_block(r, c, vec)
-            i.set_block(r, len(x) + c, vec)
-        for (r, c), vec in a.blocks.items():
-            i.set_block(len(x) + r, c, vec)
-        s = Mor(cat, xu, x)
-        for (r, c), vec in idx.blocks.items():
-            s.set_block(r, c, vec)
-        fold = Mor(cat, xx, x)
-        for (r, c), vec in idx.blocks.items():
-            fold.set_block(r, c, vec)
-            fold.set_block(r, len(x) + c, vec)
-        assert ac.compose(s, i) == fold
+        i = ac.block_mor(cat, [x, u], [x, x], [[idx, idx], [a, None]])
+        s = ac.block_mor(cat, [x], [x, u], [[idx, None]])
+        assert ac.compose(s, i) == \
+            ac.block_mor(cat, [x], [x, x], [[idx, idx]])
         assert self.classify(s).weq
         return i, s
 
@@ -534,23 +482,11 @@ class RigidStructure:
         cat = self.cat
         b = self.tautological_approx(y, "right", "perp")
         w = b.dom
-        yw = ac.dsum_obj(y, w)
-        yy = ac.dsum_obj(y, y)
         idy = ac.identity(cat, y)
-        m = Mor(cat, y, yw)
-        for (r, c), vec in idy.blocks.items():
-            m.set_block(r, c, vec)
-        q = Mor(cat, yw, yy)
-        for (r, c), vec in idy.blocks.items():
-            q.set_block(r, c, vec)
-            q.set_block(len(y) + r, c, vec)
-        for (r, c), vec in b.blocks.items():
-            q.set_block(r, len(y) + c, vec)
-        delta = Mor(cat, y, yy)
-        for (r, c), vec in idy.blocks.items():
-            delta.set_block(r, c, vec)
-            delta.set_block(len(y) + r, c, vec)
-        assert ac.compose(q, m) == delta
+        m = ac.block_mor(cat, [y, w], [y], [[idy], [None]])
+        q = ac.block_mor(cat, [y, y], [y, w], [[idy, b], [idy, None]])
+        assert ac.compose(q, m) == \
+            ac.block_mor(cat, [y, y], [y], [[idy], [idy]])
         assert self.classify(m).weq
         return m, q
 
@@ -592,15 +528,9 @@ class RigidStructure:
         the codomain."""
         cat = self.cat
         a = self.approx(f.cod, "right", "sigmaT", minimize=True)
-        mid = ac.dsum_obj(f.dom, a.dom)
-        first = Mor(cat, f.dom, mid)
-        for (i, j), vec in ac.identity(cat, f.dom).blocks.items():
-            first.set_block(i, j, vec)
-        second = Mor(cat, mid, f.cod)
-        for (i, j), vec in f.blocks.items():
-            second.set_block(i, j, vec)
-        for (i, j), vec in a.blocks.items():
-            second.set_block(i, len(f.dom) + j, vec)
+        first = ac.block_mor(cat, [f.dom, a.dom], [f.dom],
+                             [[ac.identity(cat, f.dom)], [None]])
+        second = ac.block_mor(cat, [f.cod], [f.dom, a.dom], [[f, a]])
         assert ac.compose(second, first) == f
         c1 = self.classify(first)
         c2 = self.classify(second)
@@ -634,15 +564,8 @@ class RigidStructure:
                 raise AssertionError("epsilon verification failed: not a "
                                      "left perp approximation")
             self._eps_verified.add(f.dom.summands)
-        mid = ac.dsum_obj(qy_obj, eps.cod)
-        first = Mor(cat, f.dom, mid)
-        for (i, j), vec in ft.blocks.items():
-            first.set_block(i, j, vec)
-        for (i, j), vec in eps.blocks.items():
-            first.set_block(len(qy_obj) + i, j, vec)
-        second = Mor(cat, mid, f.cod)
-        for (i, j), vec in q.blocks.items():
-            second.set_block(i, j, vec)
+        first = ac.block_mor(cat, [qy_obj, eps.cod], [f.dom], [[ft], [eps]])
+        second = ac.block_mor(cat, [f.cod], [qy_obj, eps.cod], [[q, None]])
         assert ac.compose(second, first) == f
         c1 = self.classify(first)
         c2 = self.classify(second)
@@ -691,30 +614,6 @@ class RigidStructure:
             return cand, q
         raise RuntimeError("no replacement found within budget")
 
-    def hom_tensor(self, w: Obj, x: Obj, y: Obj) -> np.ndarray:
-        """L of shape (dim Hom(x, y), dim Hom(w, y), dim Hom(w, x)) with
-        Hom(w, f) = sum_c f_c L[c] mod p for f in Hom(x, y) in hom_layout
-        coordinates: L[c] is Hom(w, -) of the c-th elementary morphism."""
-        cat = self.cat
-        lay, d = ac.hom_layout(cat, x, y)
-        lay_y, dy = ac.hom_layout(cat, w, y)
-        lay_x, dx = ac.hom_layout(cat, w, x)
-        out = np.zeros((d, dy, dx), dtype=np.int64)
-        if not out.size:
-            return out
-        # blocks (i, k) of Hom(w, y) and (j, k) of Hom(w, x), k indexing w
-        dst = {ij: (off, dd) for ij, off, dd in lay_y}
-        src = {ij: (off, dd) for ij, off, dd in lay_x}
-        for (i, j), off, dd in lay:
-            for k, wk in enumerate(w.summands):
-                tensor = cat.comp.get((wk, x.summands[j], y.summands[i]))
-                if tensor is None or (i, k) not in dst or (j, k) not in src:
-                    continue
-                (r0, rd), (c0, cd) = dst[(i, k)], src[(j, k)]
-                out[off:off + dd, r0:r0 + rd, c0:c0 + cd] = \
-                    tensor.transpose(0, 2, 1)
-        return out
-
     def _coeff_chunks(self, d: int, cap_exp: int, chunk: int):
         """Coefficient vectors of length d as (rows, d) arrays of at most
         1024 rows, the first of ``chunk`` rows and each next one four times
@@ -745,27 +644,20 @@ class RigidStructure:
         cat = self.cat
         p = cat.field.p
         d = ac.hom_space_dim(cat, cand, x)
-        checks = [self.hom_tensor(Obj((w,)), cand, x)
+        checks = [ac.left_mul_tensor(cat, Obj((w,)), cand, x)
                   for w in self.t_ind + tuple(cat.sigma_vertex(t)
                                               for t in self.t_ind)]
         # most searches end within the first rows, so chunks start small
         for rows in self._coeff_chunks(d, self.params.enum_exp_cap, 16):
             for lt in checks:
                 if lt.shape[1]:
-                    rows = rows[batch_rank(apply_tensor(lt, rows, p), p)
+                    rows = rows[batch_rank(ac.apply_tensor(lt, rows, p), p)
                                 == lt.shape[1]]
                 if not len(rows):
                     break
             if len(rows):
                 return rows[0]
         return None
-
-
-def apply_tensor(lt: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
-    """The (n, r, c) stack of sum_k f_k lt[k] mod p for the n rows f of
-    rows: Hom(w, f) for every f when lt is a ``hom_tensor``."""
-    d, r, c = lt.shape
-    return (rows @ lt.reshape(d, r * c) % p).reshape(len(rows), r, c)
 
 
 def build_rigid(cat: MeshCategory, t_ind, params: EnumParams | None = None) -> RigidStructure:

@@ -207,3 +207,55 @@ def test_vec_round_trip(cat):
     x, y = ac.obj("13", "14", "24"), ac.obj("24", "25")
     f = ac.random_morphism_rng(cat, x, y, rng)
     assert ac.vec_to_mor(cat, x, y, ac.mor_to_vec(f)) == f
+
+
+def test_block_mor_zero_entries(cat):
+    x, y, z = ac.obj("13", "14"), ac.obj("24"), ac.obj("14", "25")
+    f = ac.block_mor(cat, [z, y], [x, y], [[None, None], [None, None]])
+    assert f.dom == ac.obj("13", "14", "24")
+    assert f.cod == ac.obj("14", "25", "24")
+    assert f.is_zero()
+    g = ac.random_morphism(cat, y, z, 3)
+    f = ac.block_mor(cat, [z, y], [x, y], [[None, g], [None, None]])
+    # g lands in rows 0-1 and column 2, everything else is zero
+    assert set(f.blocks) == {(i, 2) for i, _ in g.blocks}
+    assert all(np.array_equal(f.block(i, 2), g.block(i, 0)) for i in (0, 1))
+    # an empty grid is the zero map between zero objects
+    assert ac.block_mor(cat, [], [], []) == ac.zero_mor(cat, ac.ZERO, ac.ZERO)
+
+
+def test_block_mor_single_row_and_column(cat):
+    x, y, z = ac.obj("13", "14"), ac.obj("24"), ac.obj("14", "25")
+    f = ac.random_morphism(cat, x, z, 4)
+    g = ac.random_morphism(cat, y, z, 5)
+    ident_x, ident_y = ac.identity(cat, x), ac.identity(cat, y)
+    row = ac.block_mor(cat, [z], [x, y], [[f, g]])
+    inc_x = ac.block_mor(cat, [x, y], [x], [[ident_x], [None]])
+    inc_y = ac.block_mor(cat, [x, y], [y], [[None], [ident_y]])
+    assert ac.compose(row, inc_x) == f
+    assert ac.compose(row, inc_y) == g
+    h = ac.random_morphism(cat, z, x, 6)
+    k = ac.random_morphism(cat, z, y, 7)
+    col = ac.block_mor(cat, [x, y], [z], [[h], [k]])
+    assert ac.compose(ac.block_mor(cat, [x], [x, y], [[ident_x, None]]),
+                      col) == h
+    assert ac.compose(ac.block_mor(cat, [y], [x, y], [[None, ident_y]]),
+                      col) == k
+    # [f g] . [h; k] = f h + g k
+    assert ac.compose(row, col) == ac.add(ac.compose(f, h), ac.compose(g, k))
+
+
+def test_block_mor_mismatch_raises(cat):
+    x, y = ac.obj("13"), ac.obj("14")
+    f = ac.random_morphism(cat, x, y, 8)
+    with pytest.raises(ValueError):
+        ac.block_mor(cat, [y], [y], [[f]])          # wrong column
+    with pytest.raises(ValueError):
+        ac.block_mor(cat, [x], [x], [[f]])          # wrong row
+    with pytest.raises(ValueError):
+        ac.block_mor(cat, [y, x], [x], [[f]])       # missing grid row
+    with pytest.raises(ValueError):
+        ac.block_mor(cat, [y], [x, x], [[f]])       # short grid row
+    other = mc.build_type_a(2, PrimeField(2))
+    with pytest.raises(ValueError):
+        ac.block_mor(other, [y], [x], [[f]])        # another category

@@ -38,7 +38,7 @@ def test_gen_save_round_trip(tmp_path):
     assert cat.total_hom_dim() == 10
 
 
-def test_exit_code_2_on_bad_input():
+def test_exit_code_2_on_bad_input(tmp_path):
     assert run_cli("gen", "--type", "A").returncode == 2
     assert run_cli("axioms", "--type", "A", "--rank", "2",
                    "--T", "junk").returncode == 2
@@ -46,6 +46,26 @@ def test_exit_code_2_on_bad_input():
                    "--field-char", "4").returncode == 2
     assert run_cli("classify", "--type", "A", "--rank", "2", "--T", "13",
                    "--mor", "/does/not/exist.json").returncode == 2
+    # malformed morphism files: a block row or a coefficient list that is
+    # not a list, a coefficient that is not an integer
+    for n, blocks in enumerate(([5], [[None]], [[[1.5]]], [[[True]]])):
+        path = tmp_path / f"mor{n}.json"
+        path.write_text(json.dumps({"dom": ["13"], "cod": ["14"],
+                                    "blocks": blocks}))
+        r = run_cli("classify", "--type", "A", "--rank", "2", "--T", "13",
+                    "--mor", str(path))
+        assert r.returncode == 2, (blocks, r.stderr)
+        assert b"Traceback" not in r.stderr
+    # malformed quiver files: an arrow that is not a pair, a top-level
+    # list, vertices given as one string
+    for n, spec in enumerate(({"vertices": ["1", "2"], "arrows": [5]},
+                              [["1", "2"]],
+                              {"vertices": "ab", "arrows": [["a", "b"]]})):
+        path = tmp_path / f"quiver{n}.json"
+        path.write_text(json.dumps(spec))
+        r = run_cli("gen", "--type", "dynkin", "--quiver", str(path))
+        assert r.returncode == 2, (spec, r.stderr)
+        assert b"Traceback" not in r.stderr
 
 
 def test_unknown_flag_exits_2():

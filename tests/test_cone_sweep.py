@@ -59,7 +59,7 @@ class ConeSweep:
         the radical part is the rest of the hom_layout coordinates, listed
         in ``radical``.  ``sig`` maps layout coordinates of alpha to those of
         sigma alpha, and for each vertex u, K[u] and KS[u] are the
-        ``hom_tensor`` of Hom(u, -) on Hom(T1, T0) and on
+        ``left_mul_tensor`` of Hom(u, -) on Hom(T1, T0) and on
         Hom(sigma T1, sigma T0)."""
         key = (t1, t0)
         hit = self._tensor_cache.get(key)
@@ -80,8 +80,9 @@ class ConeSweep:
             sig[off:off + dd, off:off + dd] = cat.sigma_map[(t1[j], t0[i])]
         hit = self._tensor_cache[key] = (
             radical, sig,
-            [self.rigid.hom_tensor(Obj((u,)), x1, x0) for u in cat.verts],
-            [self.rigid.hom_tensor(Obj((u,)), sx1, sx0) for u in cat.verts])
+            [ac.left_mul_tensor(cat, Obj((u,)), x1, x0) for u in cat.verts],
+            [ac.left_mul_tensor(cat, Obj((u,)), sx1, sx0)
+             for u in cat.verts])
         return hit
 
     def batch_cone_fps(self, t1: tuple, t0: tuple,

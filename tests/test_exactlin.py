@@ -9,7 +9,6 @@ from trimodel import exactlin as el
 
 
 F2 = el.PrimeField(2)
-F5 = el.PrimeField(5)
 
 
 def test_prime_field_validation():
@@ -33,53 +32,51 @@ def test_field_inverse():
 
 
 def test_rank_identity_and_zero():
-    assert el.rank(el.Mat.identity(F2, 2)) == 2
-    assert el.rank(el.Mat.zeros(F2, 3, 4)) == 0
+    assert el.array_rank(np.eye(2, dtype=np.int64), 2) == 2
+    assert el.array_rank(np.zeros((3, 4), dtype=np.int64), 2) == 0
 
 
 def test_rank_hand_case():
-    assert el.rank(el.Mat(F2, [[1, 1], [1, 1]])) == 1
+    assert el.array_rank([[1, 1], [1, 1]], 2) == 1
 
 
 def test_solve_identity():
-    a = el.Mat.identity(F5, 3)
     b = np.array([2, 3, 4])
-    assert np.array_equal(el.solve(a, b), b)
+    assert np.array_equal(el.array_solve(np.eye(3, dtype=np.int64), b, 5), b)
 
 
 def test_solve_inconsistent():
-    a = el.Mat.zeros(F2, 2, 2)
-    assert el.solve(a, [1, 0]) is None
+    assert el.array_solve(np.zeros((2, 2), dtype=np.int64), [1, 0], 2) \
+        is None
 
 
 def test_solve_free_variables_pinned():
-    a = el.Mat(F2, [[1, 1], [0, 0]])
-    x = el.solve(a, [1, 0])
+    x = el.array_solve([[1, 1], [0, 0]], [1, 0], 2)
     assert np.array_equal(x, [1, 0])
 
 
 def test_solve_dimension_mismatch():
     with pytest.raises(ValueError):
-        el.solve(el.Mat.identity(F2, 2), [1, 0, 0])
+        el.array_solve(np.eye(2, dtype=np.int64), [1, 0, 0], 2)
 
 
 def test_kernel_identity_and_zero():
-    assert el.kernel_basis(el.Mat.identity(F2, 3)) == []
-    assert len(el.kernel_basis(el.Mat.zeros(F2, 2, 3))) == 3
+    assert el.array_kernel(np.eye(3, dtype=np.int64), 2) == []
+    assert len(el.array_kernel(np.zeros((2, 3), dtype=np.int64), 2)) == 3
 
 
 def test_kernel_hand_case():
-    ker = el.kernel_basis(el.Mat(F2, [[1, 1]]))
+    ker = el.array_kernel([[1, 1]], 2)
     assert len(ker) == 1
     assert np.array_equal(ker[0], [1, 1])
 
 
 def test_in_span_cases():
-    ok, coeffs = el.in_span([0, 0], [[1, 0], [0, 1]], 2)
+    ok, coeffs = el.array_in_span([0, 0], [[1, 0], [0, 1]], 2)
     assert ok and not np.any(coeffs)
-    ok, coeffs = el.in_span([1, 0], [], 2)
+    ok, coeffs = el.array_in_span([1, 0], [], 2)
     assert not ok and coeffs is None
-    ok, coeffs = el.in_span([1, 0], [[1, 1], [0, 1]], 2)
+    ok, coeffs = el.array_in_span([1, 0], [[1, 1], [0, 1]], 2)
     assert ok and np.array_equal(coeffs, [1, 1])
 
 
@@ -207,14 +204,3 @@ def test_in_span_agrees_with_enumeration(p, nvecs):
         if ok:
             combo = sum(c * w for c, w in zip(coeffs, cols)) % p
             assert np.array_equal(combo, v)
-
-
-def test_matmul_mod_p():
-    a = el.Mat(F2, [[1, 1], [0, 1]])
-    assert (a @ a) == el.Mat(F2, [[1, 0], [0, 1]])
-
-
-def test_entries_row_major():
-    m = el.Mat(F5, [[1, 2], [3, 4]])
-    assert m.entries == [1, 2, 3, 4]
-    assert m.rows == 2 and m.cols == 2

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from trimodel import addcat as ac
+from trimodel import endalg as ea
 from trimodel import meshcat as mc
 from trimodel import oracle
 from trimodel import rigidmodel as rm
@@ -138,7 +139,7 @@ def per_morphism_suite(cat, rigid, max_summands=2, seed=0, gen_mult_bound=2,
                 cls = rigid.classify(f)
                 in_ideal = rigid.ideal_membership(f, "perp")
                 functor_zero = all(
-                    not np.any(rigid.hom_functor_matrix(f, t))
+                    not np.any(ac.left_mul_matrix(f, ac.obj(t)))
                     for t in rigid.t_ind)
                 if in_ideal != functor_zero:
                     bad_a.append(mor_to_json(f))
@@ -214,8 +215,9 @@ def batched_records(cat, rigid, max_summands=2, seed=0, gen_mult_bound=2,
                                    coeffs, p)
         zero = np.ones(len(coeffs), dtype=bool)
         for t in rigid.t_ind:
-            zero &= ~np.any(rm.apply_tensor(
-                rigid.hom_tensor(ac.obj(t), x, y), coeffs, p), axis=(1, 2))
+            zero &= ~np.any(ac.apply_tensor(
+                ac.left_mul_tensor(cat, ac.obj(t), x, y), coeffs, p),
+                axis=(1, 2))
         a = rigid.tautological_approx(x, "left", "perp")
         solvable = oracle._in_span(ac.right_mul_matrix(a, y), coeffs, p)
         rest = rigid.split_mono_complement(x, y)
@@ -328,13 +330,22 @@ def test_a_pair_fails_when_any_of_its_rows_fails(monkeypatch):
         rigid, ac.identity(cat, v)) == (True, False)
 
 
-@pytest.mark.parametrize("kind,p", [("A3", 2), ("A3", 3), ("D4", 3)])
-def test_tensors_match_multiplication_matrices(kind, p):
+TENSOR_KINDS = [("A3", 2), ("A3", 3), ("D4", 2), ("D4", 3)]
+
+
+def _tensor_cat(kind, p):
     # D4 has two-dimensional Hom spaces, where a transposed block shows
     if kind == "A3":
-        cat = _cat(3, p)
-    else:
-        cat = mc.build_dynkin(mc.dynkin_d4_subspace(), PrimeField(p))
+        return _cat(3, p)
+    if ("D4", p) not in _CATS:
+        _CATS[("D4", p)] = mc.build_dynkin(mc.dynkin_d4_subspace(),
+                                           PrimeField(p))
+    return _CATS[("D4", p)]
+
+
+@pytest.mark.parametrize("kind,p", TENSOR_KINDS)
+def test_tensors_match_multiplication_matrices(kind, p):
+    cat = _tensor_cat(kind, p)
     rigid = rm.build_rigid(cat, [rm.all_rigid_subsets(cat)[0][0]])
     pool = oracle.objects_up_to(cat, 2)
     rng = np.random.default_rng(p)
@@ -342,13 +353,57 @@ def test_tensors_match_multiplication_matrices(kind, p):
     for _ in range(150):
         r, a, z = (pool[int(rng.integers(0, len(pool)))] for _ in range(3))
         r = ac.dsum_obj(r, pool[int(rng.integers(0, len(pool)))])
-        assert np.array_equal(oracle._gen_tensor(rigid, r, a, z),
+        rt = ac.right_mul_tensor(cat, r, a, z)
+        assert np.array_equal(rt % p,
                               _elementary_gen_tensor(rigid, r, a, z, cache))
+        g = ac.random_morphism_rng(cat, r, a, rng)
+        assert np.array_equal(
+            ac.apply_tensor(rt, ac.mor_to_vec(g)[None], p)[0],
+            ac.right_mul_matrix(g, z))
         f = ac.random_morphism_rng(cat, a, z, rng)
         assert np.array_equal(
-            rm.apply_tensor(rigid.hom_tensor(r, a, z),
+            ac.apply_tensor(ac.left_mul_tensor(cat, r, a, z),
                             ac.mor_to_vec(f)[None], p)[0],
             ac.left_mul_matrix(f, r))
+
+
+@pytest.mark.parametrize("kind,p", TENSOR_KINDS)
+def test_module_and_induced_maps_match_elementary_maps(kind, p):
+    # module_of against right_mul_matrix of each elementary map between T
+    # vertices, and induced_tensor against left_mul_matrix of each
+    # elementary map x -> y, on every T vertex
+    cat = _tensor_cat(kind, p)
+    rigid = rm.build_rigid(cat, rm.all_rigid_subsets(cat)[-1])
+    alg = ea.end_algebra(rigid)
+    pool = oracle.objects_up_to(cat, 2)
+    for x in pool:
+        offsets, total = ea.module_layout(rigid, x)
+        want = np.zeros((alg.dim, total, total), dtype=np.int64)
+        i = 0
+        for a in rigid.t_ind:
+            for b in rigid.t_ind:
+                for k in range(cat.hom_dim(a, b)):
+                    e = ac.elementary(cat, ac.obj(a), ac.obj(b), 0, 0, k)
+                    m = ac.right_mul_matrix(e, x)
+                    want[i, offsets[a]:offsets[a] + m.shape[0],
+                         offsets[b]:offsets[b] + m.shape[1]] = m
+                    i += 1
+        assert np.array_equal(ea.module_of(rigid, x, alg).action, want)
+    rng = np.random.default_rng(p)
+    for _ in range(40):
+        x, y = (pool[int(rng.integers(0, len(pool)))] for _ in range(2))
+        src_off, src_dim = ea.module_layout(rigid, x)
+        dst_off, dst_dim = ea.module_layout(rigid, y)
+        layout, d = ac.hom_layout(cat, x, y)
+        want = np.zeros((d, dst_dim, src_dim), dtype=np.int64)
+        for (i, j), off, dd in layout:
+            for k in range(dd):
+                e = ac.elementary(cat, x, y, i, j, k)
+                for t in rigid.t_ind:
+                    m = ac.left_mul_matrix(e, ac.obj(t))
+                    want[off + k, dst_off[t]:dst_off[t] + m.shape[0],
+                         src_off[t]:src_off[t] + m.shape[1]] = m
+        assert np.array_equal(ea.induced_tensor(rigid, x, y) % p, want)
 
 
 def _drop_a_perp_vertex(rigid, monkeypatch):
