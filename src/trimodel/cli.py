@@ -121,10 +121,14 @@ def _rigid_for(args, cat):
 def _budget(args) -> int:
     env = os.environ.get("TRIMODEL_BUDGET")
     if env is not None:
-        return int(env)
-    if args.budget is not None:
-        return args.budget
-    return DEFAULT_BUDGET
+        budget = int(env)
+    elif args.budget is not None:
+        budget = args.budget
+    else:
+        budget = DEFAULT_BUDGET
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
+    return budget
 
 
 def _emit(args, report: Report) -> int:
@@ -176,10 +180,10 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
+    budget = _budget(args)
     cat = _build_category(args)
     rigid = _rigid_for(args, cat)
-    rep = oracle.run_axiom_suite(cat, rigid, budget=_budget(args),
-                                 seed=args.seed)
+    rep = oracle.run_axiom_suite(cat, rigid, budget=budget, seed=args.seed)
     return _emit(args, rep)
 
 
@@ -235,7 +239,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (QuiverError, ValidationError, NotRigidError, FileNotFoundError,
+    except (QuiverError, ValidationError, NotRigidError, OSError,
             json.JSONDecodeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -6,7 +6,7 @@ entries kept reduced to [0, p); arithmetic is exact, so every downstream
 equality is an honest equality (no tolerances anywhere).
 
 Every function takes plain arrays and the characteristic: ``array_rref``
-and what is built on it (rank, solve, kernel, span membership, inverse),
+and what is built on it (rank, solve, kernel, inverse),
 ``fast_rank`` for single small matrices in hot loops, and ``batch_rank``,
 which takes the ranks of a whole (n, r, c) stack of matrices at once, for
 searches and suites that test many morphisms together; it eliminates in
@@ -132,22 +132,6 @@ def array_kernel(a, p: int) -> list[np.ndarray]:
             v[c] = (-red[row, j]) % p
         basis.append(v)
     return basis
-
-
-def array_in_span(v, cols: list, p: int):
-    """Whether v lies in the span of the given columns; coefficients if so."""
-    vv = np.array(v, dtype=np.int64) % p
-    if not cols:
-        if np.any(vv):
-            return False, None
-        return True, np.zeros(0, dtype=np.int64)
-    m = np.stack([np.array(c, dtype=np.int64) % p for c in cols], axis=1)
-    if m.shape[0] != vv.shape[0]:
-        raise ValueError("incompatible column lengths")
-    x = array_solve(m, vv, p)
-    if x is None:
-        return False, None
-    return True, x
 
 
 def array_inverse(a, p: int):

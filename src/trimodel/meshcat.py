@@ -15,6 +15,16 @@ its row, so the coordinates of every path are read off in one slice.  Once a
 whole level dies, every longer level dies too (any longer path factors through
 a dead one), which gives the stopping rule and the radical length.
 
+Only the paths of a level whose coordinates are nonzero are extended to the
+next level.  A path with a dead prefix lies in the two-sided ideal, so its
+column would be a pivot whose reduced row is its own unit vector; leaving it
+out changes no other row of the reduced form, so the basis, the coordinates
+and the stopping rule are those of the full enumeration.  The relations are
+taken with both factors r and q in r . mesh . q surviving (a relation with a
+dead factor is, modulo dead paths, a sum of relations whose factors survive),
+and their terms on paths never enumerated are dropped.  A path that was never
+enumerated reduces to zero.
+
 ``validate`` checks the mesh relations and associativity exhaustively; the
 associativity equations are checked for all source vertices at once, which is
 the same equation set as checking each chain of Hom spaces separately.
@@ -166,16 +176,16 @@ class MeshCategory:
     def _build_hom(self, cap: int) -> None:
         p = self.field.p
         V = self.verts
-        # paths[l][(u, v)] -> ordered list of paths of length l
-        paths: list[dict[tuple[str, str], list[Path]]] = []
+        # alive[l][(u, v)] -> ordered list of the surviving paths of length l
+        alive: list[dict[tuple[str, str], list[Path]]] = []
         self.basis: dict[tuple[str, str], list[Path]] = {
             (u, v): [] for u in V for v in V
         }
-        # reduced coordinates of every enumerated path, over the final basis
+        # nonzero reduced coordinates of the surviving paths, over the final
+        # basis; every other path is zero in the category
         self._red: dict[tuple[str, str], dict[Path, np.ndarray]] = {
             (u, v): {} for u in V for v in V
         }
-        level_dims: list[int] = []
         length = 0
         while True:
             if length > cap:
@@ -186,7 +196,7 @@ class MeshCategory:
                 lvl = {(v, v): [()] for v in V}
             else:
                 lvl = {}
-                for (u, w), plist in paths[length - 1].items():
+                for (u, w), plist in alive[length - 1].items():
                     for a in self._out[w]:
                         tgt = self.arrows[a][1]
                         lvl.setdefault((u, tgt), []).extend(
@@ -194,11 +204,10 @@ class MeshCategory:
                         )
                 for key in lvl:
                     lvl[key].sort()
-            paths.append(lvl)
+            alive.append({})
             new_dim = 0
             for (u, v), plist in sorted(lvl.items()):
-                new_dim += self._reduce_level(u, v, length, plist, paths, p)
-            level_dims.append(new_dim)
+                new_dim += self._reduce_level(u, v, length, plist, alive, p)
             if length >= 1 and new_dim == 0:
                 self.radical_length = length
                 break
@@ -207,9 +216,13 @@ class MeshCategory:
         for (u, v), b in self.basis.items():
             self.dims[self.vidx[u], self.vidx[v]] = len(b)
 
-    def _relation_rows(self, u: str, v: str, length: int, plist, paths, p: int):
+    def _relation_rows(self, u: str, v: str, length: int, plist, alive, p: int):
         """Mesh ideal elements of the given length from u to v, as the rows
-        of one matrix over the paths in plist (None when there are none)."""
+        of one matrix over the paths in plist (None when there are none).
+
+        Both factors r and q of a relation r . mesh_x . q are surviving
+        paths, and terms on paths outside plist are dropped: those paths
+        have a dead prefix, so they lie in the ideal and are zero."""
         index = {pp: k for k, pp in enumerate(plist)}
         row_idx, col_idx, vals = [], [], []
         n_rows = 0
@@ -217,27 +230,29 @@ class MeshCategory:
             tx = self.quiver.tau[x]
             mids, coeffs = self._mesh[x]
             for i in range(length - 1):
-                left = paths[i].get((u, tx), ())
-                right = paths[length - 2 - i].get((x, v), ())
+                left = alive[i].get((u, tx))
+                right = alive[length - 2 - i].get((x, v))
                 if not left or not right:
                     continue
                 for r in left:
                     for q in right:
-                        row_idx.extend([n_rows] * len(mids))
-                        col_idx.extend(index[r + mid + q] for mid in mids)
-                        vals.extend(coeffs)
-                        n_rows += 1
+                        row = [(index[pp], c) for mid, c in zip(mids, coeffs)
+                               if (pp := r + mid + q) in index]
+                        if row:
+                            row_idx.extend([n_rows] * len(row))
+                            for k, c in row:
+                                col_idx.append(k)
+                                vals.append(c)
+                            n_rows += 1
         if not n_rows:
             return None
         rows = np.zeros((n_rows, len(plist)), dtype=np.int64)
         np.add.at(rows, (row_idx, col_idx), vals)
         return rows % p
 
-    def _reduce_level(self, u, v, length, plist, paths, p) -> int:
-        if not plist:
-            return 0
+    def _reduce_level(self, u, v, length, plist, alive, p) -> int:
         n = len(plist)
-        rows = self._relation_rows(u, v, length, plist, paths, p)
+        rows = self._relation_rows(u, v, length, plist, alive, p)
         pivots = []
         if rows is not None:
             red, pivots = array_rref(rows, p)
@@ -252,7 +267,11 @@ class MeshCategory:
         coords[free, offset + np.arange(len(free))] = 1
         if pivots:
             coords[pivots, offset:] = -red[: len(pivots), free] % p
-        self._red[(u, v)].update(zip(plist, coords))
+        # only paths with nonzero coordinates are extended to the next level
+        live = np.flatnonzero(coords.any(axis=1))
+        if live.size:
+            alive[length][(u, v)] = [plist[k] for k in live]
+            self._red[(u, v)].update((plist[k], coords[k]) for k in live)
         return len(free)
 
     def reduce_path(self, u: str, v: str, path: Path) -> np.ndarray:

@@ -159,6 +159,34 @@ def test_budget_env_override():
     assert r.returncode == 0
 
 
+def test_budget_below_one_exits_2():
+    for budget in ("-5", "0"):
+        r = run_cli("axioms", "--type", "A", "--rank", "2", "--T", "13",
+                    "--budget", budget)
+        assert r.returncode == 2, (budget, r.stdout)
+        assert b"budget must be at least 1" in r.stderr
+
+
+def test_budget_env_below_one_exits_2():
+    r = run_cli("axioms", "--type", "A", "--rank", "2", "--T", "13",
+                "--budget", "100", env={"TRIMODEL_BUDGET": "-5"})
+    assert r.returncode == 2, r.stdout
+    assert b"budget must be at least 1" in r.stderr
+
+
+def test_classify_morphism_path_is_a_directory(tmp_path):
+    r = run_cli("classify", "--type", "A", "--rank", "2", "--T", "13",
+                "--mor", str(tmp_path))
+    assert r.returncode == 2
+    assert b"Traceback" not in r.stderr
+
+
+def test_dynkin_quiver_path_is_a_directory(tmp_path):
+    r = run_cli("gen", "--type", "dynkin", "--quiver", str(tmp_path))
+    assert r.returncode == 2
+    assert b"Traceback" not in r.stderr
+
+
 def test_dynkin_quiver_file(tmp_path):
     path = tmp_path / "a2.json"
     with open(path, "w") as fh:

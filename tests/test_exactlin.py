@@ -72,12 +72,16 @@ def test_kernel_hand_case():
 
 
 def test_in_span_cases():
-    ok, coeffs = el.array_in_span([0, 0], [[1, 0], [0, 1]], 2)
-    assert ok and not np.any(coeffs)
-    ok, coeffs = el.array_in_span([1, 0], [], 2)
-    assert not ok and coeffs is None
-    ok, coeffs = el.array_in_span([1, 0], [[1, 1], [0, 1]], 2)
-    assert ok and np.array_equal(coeffs, [1, 1])
+    # span membership of v in the given columns, as a solve of A x = v
+    def cols_matrix(cols, dim):
+        return (np.stack(cols, axis=1) if cols
+                else np.zeros((dim, 0), dtype=np.int64))
+
+    coeffs = el.array_solve(cols_matrix([[1, 0], [0, 1]], 2), [0, 0], 2)
+    assert coeffs is not None and not np.any(coeffs)
+    assert el.array_solve(cols_matrix([], 2), [1, 0], 2) is None
+    coeffs = el.array_solve(cols_matrix([[1, 1], [0, 1]], 2), [1, 0], 2)
+    assert np.array_equal(coeffs, [1, 1])
 
 
 @st.composite
@@ -199,8 +203,8 @@ def test_in_span_agrees_with_enumeration(p, nvecs):
             if np.array_equal(combo, v):
                 brute = True
                 break
-        ok, coeffs = el.array_in_span(v, cols, p)
-        assert ok == brute
-        if ok:
+        coeffs = el.array_solve(np.stack(cols, axis=1), v, p)
+        assert (coeffs is not None) == brute
+        if brute:
             combo = sum(c * w for c, w in zip(coeffs, cols)) % p
             assert np.array_equal(combo, v)

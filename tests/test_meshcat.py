@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from trimodel import meshcat as mc
-from trimodel.exactlin import PrimeField
+from trimodel.exactlin import PrimeField, array_rref
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -168,32 +168,144 @@ def _basis_digest(basis):
     return hashlib.sha256(json.dumps(data).encode()).hexdigest()[:16]
 
 
+D5 = mc.make_dynkin(["0", "1", "2", "3", "4"],
+                    [("1", "0"), ("2", "0"), ("3", "0"), ("3", "4")])
+D6 = mc.make_dynkin(["0", "1", "2", "3", "4", "5"],
+                    [("1", "0"), ("2", "1"), ("3", "2"), ("4", "3"),
+                     ("5", "3")])
+E6 = mc.make_dynkin(["0", "1", "2", "3", "4", "5"],
+                    [("1", "0"), ("2", "1"), ("3", "2"), ("4", "3"),
+                     ("5", "2")])
+
+
+def build(kind, field):
+    if kind.startswith("A"):
+        return mc.build_type_a(int(kind[1:]), field)
+    quiver = {"D4": mc.dynkin_d4_subspace(), "D5": D5, "D6": D6,
+              "E6": E6}[kind]
+    return mc.build_dynkin(quiver, field)
+
+
 # sha256 prefixes of basis, comp and sigma_map, recorded from the
-# path-by-path level reduction and chain-by-chain associativity check
+# path-by-path level reduction and chain-by-chain associativity check (E6
+# and D6 from the full path enumeration, before dead prefixes were pruned)
 BUILD_DIGESTS = {
     ("A4", 2): ("ed1b6f6489901564", "9df33635b5570866", "866355257c3f8080"),
     ("A4", 3): ("ed1b6f6489901564", "c31ea764926e0c7b", "45b5976e76e594ef"),
     ("D4", 2): ("0c4152135deb782b", "5a65013145d56343", "799bd0102b209225"),
     ("D4", 3): ("0c4152135deb782b", "d300ac4f77591401", "5927093f559e51e5"),
     ("D5", 3): ("a38bd832ceb95205", "6cd9d0fbdd01d106", "4e3fe2c77b634af4"),
+    ("D6", 3): ("2c90054170d3fe7a", "a725b2b0c1762dfe", "4845348a7afeeec9"),
+    ("E6", 2): ("f1044ace19ecd442", "c37a72038a240160", "e1d2b6aa9bc3c310"),
 }
 
 
 @pytest.mark.parametrize("kind,p", sorted(BUILD_DIGESTS))
 def test_build_is_byte_identical(kind, p):
-    field = PrimeField(p)
-    if kind == "A4":
-        cat = mc.build_type_a(4, field)
-    elif kind == "D4":
-        cat = mc.build_dynkin(mc.dynkin_d4_subspace(), field)
-    else:
-        cat = mc.build_dynkin(
-            mc.make_dynkin(["0", "1", "2", "3", "4"],
-                           [("1", "0"), ("2", "0"), ("3", "0"), ("3", "4")]),
-            field)
+    cat = build(kind, PrimeField(p))
     cat.validate()
     assert (_basis_digest(cat.basis), _tensors_digest(cat.comp),
             _tensors_digest(cat.sigma_map)) == BUILD_DIGESTS[(kind, p)]
+
+
+class FullEnumCategory(mc.MeshCategory):
+    """Reference Hom build: every path of every length is enumerated and
+    reduced, paths with a dead prefix included, against every mesh relation
+    r . mesh_x . q with r and q arbitrary paths."""
+
+    def _build_hom(self, cap):
+        p = self.field.p
+        V = self.verts
+        paths = []
+        self.basis = {(u, v): [] for u in V for v in V}
+        self._red = {(u, v): {} for u in V for v in V}
+        length = 0
+        while True:
+            assert length <= cap
+            if length == 0:
+                lvl = {(v, v): [()] for v in V}
+            else:
+                lvl = {}
+                for (u, w), plist in paths[length - 1].items():
+                    for a in self._out[w]:
+                        lvl.setdefault((u, self.arrows[a][1]), []).extend(
+                            pp + (a,) for pp in plist)
+                for key in lvl:
+                    lvl[key].sort()
+            paths.append(lvl)
+            new_dim = sum(self._full_reduce(u, v, length, plist, paths, p)
+                          for (u, v), plist in sorted(lvl.items()))
+            if length >= 1 and new_dim == 0:
+                self.radical_length = length
+                break
+            length += 1
+        self.dims = np.zeros((len(V), len(V)), dtype=np.int64)
+        for (u, v), b in self.basis.items():
+            self.dims[self.vidx[u], self.vidx[v]] = len(b)
+
+    def _full_reduce(self, u, v, length, plist, paths, p):
+        index = {pp: k for k, pp in enumerate(plist)}
+        rows = []
+        for x in self.verts:
+            mids, coeffs = self._mesh[x]
+            for i in range(length - 1):
+                for r in paths[i].get((u, self.quiver.tau[x]), ()):
+                    for q in paths[length - 2 - i].get((x, v), ()):
+                        row = np.zeros(len(plist), dtype=np.int64)
+                        for mid, c in zip(mids, coeffs):
+                            row[index[r + mid + q]] += c
+                        rows.append(row % p)
+        red, pivots = (array_rref(np.array(rows), p) if rows
+                       else (None, []))
+        free = [k for k in range(len(plist)) if k not in pivots]
+        offset = len(self.basis[(u, v)])
+        self.basis[(u, v)].extend(plist[k] for k in free)
+        for k, pp in enumerate(plist):
+            vec = np.zeros(offset + len(free), dtype=np.int64)
+            if k in free:
+                vec[offset + free.index(k)] = 1
+            else:
+                vec[offset:] = -red[pivots.index(k), free] % p
+            self._red[(u, v)][pp] = vec
+        return len(free)
+
+
+ORACLE_CASES = ([(f"A{n}", p) for n in range(2, 7) for p in (2, 3)]
+                + [(kind, p) for kind in ("D4", "D5") for p in (2, 3)]
+                + [("D6", 2)])
+
+
+@pytest.mark.parametrize("kind,p", ORACLE_CASES)
+def test_pruned_build_matches_full_enumeration(kind, p):
+    """Extending only surviving paths gives the categories of the full
+    enumeration, and every path it prunes is zero there."""
+    cat = build(kind, PrimeField(p))
+    ref = FullEnumCategory(cat.field, cat.quiver, signs=cat.signs)
+    assert cat.radical_length == ref.radical_length
+    assert np.array_equal(cat.dims, ref.dims)
+    assert cat.basis == ref.basis
+    for name in ("comp", "sigma_map"):
+        mine, theirs = getattr(cat, name), getattr(ref, name)
+        assert sorted(mine) == sorted(theirs)
+        for key in theirs:
+            assert mine[key].dtype == theirs[key].dtype
+            assert np.array_equal(mine[key], theirs[key]), (name, key)
+    pruned = 0
+    for (u, v), vecs in ref._red.items():
+        for path, vec in vecs.items():
+            assert np.array_equal(cat.reduce_path(u, v, path),
+                                  ref.reduce_path(u, v, path)), (u, v, path)
+            dead_prefix = any(
+                not ref.reduce_path(u, cat.arrows[path[k - 1]][1],
+                                    path[:k]).any()
+                for k in range(1, len(path)))
+            if dead_prefix:
+                pruned += 1
+                assert path not in cat._red[(u, v)]
+                assert not vec.any()
+    # on the pentagon the build stops at the first dead level, before any
+    # path could have a dead prefix
+    assert pruned > 0 or kind == "A2"
 
 
 def test_dynkin_a2_matches_polygon(pentagon):
@@ -249,10 +361,7 @@ def test_d4_odd_characteristic():
 
 
 def test_d5_knitting_count():
-    cat = mc.build_dynkin(
-        mc.make_dynkin(["0", "1", "2", "3", "4"],
-                       [("1", "0"), ("2", "0"), ("3", "0"), ("3", "4")]),
-        F2)
+    cat = mc.build_dynkin(D5, F2)
     # indecomposable modules (20) plus one suspended projective per vertex
     assert len(cat.verts) == 25
 
