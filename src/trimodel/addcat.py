@@ -484,6 +484,45 @@ def enumerate_morphisms(cat: MeshCategory, x: Obj, y: Obj,
         yield vec_to_mor(cat, x, y, np.array(coeffs, dtype=np.int64))
 
 
+def coeff_chunks(p: int, d: int, cap_exp: int, draws: int, rng,
+                 first: int | None = None):
+    """(rows, sampled) pairs, rows an (n, d) int64 array of the coefficient
+    vectors a check takes from a d-dimensional Hom space over F_p.
+
+    The one exhaustive-or-sampled rule: all of F_p^d in ``itertools.product``
+    order when d <= cap_exp, else ``draws`` rows from rng (a Generator or a
+    seed) in one block draw.  With first None the rows come as one array,
+    and a whole space of more than 2^cap_exp rows is a RuntimeError; else in
+    chunks of ``first`` rows growing fourfold up to 1024."""
+    sampled = d > cap_exp
+    if sampled:
+        drawn = np.random.default_rng(rng).integers(0, p, size=(draws, d))
+    total = draws if sampled else p ** d
+    if first is None and not sampled and total > 2 ** cap_exp:
+        raise RuntimeError(f"Hom space of {p}^{d} morphisms is too large to "
+                           f"enumerate whole (more than 2^{cap_exp})")
+
+    def rows(start: int, stop: int) -> np.ndarray:
+        if sampled:
+            return drawn[start:stop]
+        # row n is the base-p digits of n; only its last k can be nonzero,
+        # and p ** (k - 1) < stop fits int64 where p ** (d - 1) may not
+        k = min(d, next(j for j in itertools.count() if p ** j >= stop))
+        out = np.zeros((stop - start, d), dtype=np.int64)
+        out[:, d - k:] = np.arange(start, stop, dtype=np.int64)[:, None] \
+            // p ** np.arange(k - 1, -1, -1, dtype=np.int64) % p
+        return out
+
+    if first is None:
+        yield rows(0, total), sampled
+        return
+    start, chunk = 0, first
+    while start < total:
+        stop = min(start + chunk, total)
+        yield rows(start, stop), sampled
+        start, chunk = stop, min(4 * chunk, 1024)
+
+
 def random_morphism(cat: MeshCategory, x: Obj, y: Obj, seed: int) -> Mor:
     total = hom_space_dim(cat, x, y)
     rng = np.random.default_rng(seed)

@@ -301,12 +301,12 @@ def report(binding: ScenarioBinding) -> Report:
     return rep
 
 
-def run_scenario(p: int = 3, with_p2_lifting: bool = True) -> Report:
+def run_scenario(p: int = 3) -> Report:
     """Default scenario run: all claims at characteristic p, plus the two
     lifting checks repeated at characteristic 2."""
     binding = bind(p)
     rep = report(binding)
-    if with_p2_lifting and p != 2:
+    if p != 2:
         b2 = bind(2)
         plain = oracle.rlp_all_squares(b2.rigid, b2.mors["a"], b2.mors["g"],
                                        "plain")

@@ -14,14 +14,13 @@ of the induced map, exactly.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import addcat as ac
 from .addcat import Mor, Obj
-from .exactlin import array_kernel, array_rank, fast_rank
+from .exactlin import array_kernel, array_rank, batch_rank
 from .report import Report
 from .rigidmodel import RigidStructure
 
@@ -134,8 +133,9 @@ def module_hom_dim(rigid: RigidStructure, m: ModuleRep, n: ModuleRep,
 
 
 def find_module_iso(rigid: RigidStructure, m: ModuleRep, n: ModuleRep,
-                    alg: AlgebraPres | None = None, cap_exp: int = 16):
-    """An invertible intertwiner m -> n, or None."""
+                    alg: AlgebraPres | None = None):
+    """The first invertible intertwiner m -> n, or None, among the
+    combinations of an intertwiner basis that ``coeff_chunks`` takes."""
     p = rigid.cat.field.p
     if alg is None:
         alg = end_algebra(rigid)
@@ -146,20 +146,13 @@ def find_module_iso(rigid: RigidStructure, m: ModuleRep, n: ModuleRep,
     basis = intertwiner_space(alg, m, n, p)
     if not basis:
         return None
-    k = len(basis)
-    if p ** k <= p ** cap_exp:
-        space = itertools.product(range(p), repeat=k)
-    else:
-        rng = np.random.default_rng(rigid.params.seed)
-        space = (tuple(rng.integers(0, p, size=k))
-                 for _ in range(rigid.params.sample_count))
-    for coeffs in space:
-        if not any(coeffs):
-            continue
-        flat = sum(c * b for c, b in zip(coeffs, basis)) % p
-        mat = flat.reshape(n.dim, m.dim)
-        if fast_rank(mat, p) == n.dim:
-            return mat
+    for rows, _ in ac.coeff_chunks(p, len(basis), 16,
+                                   rigid.params.sample_count,
+                                   rigid.params.seed, first=16):
+        mats = (rows @ np.stack(basis) % p).reshape(-1, n.dim, m.dim)
+        hits = np.flatnonzero(batch_rank(mats, p) == n.dim)
+        if hits.size:
+            return mats[hits[0]]
     return None
 
 

@@ -131,10 +131,13 @@ class MeshCategory:
                            basis_k(u, w) in basis_j(v, w) . basis_i(u, v)
       radical_length       least L with every length >= L class zero
       sigma_map[(u, v)]    matrix of the suspension on Hom(u, v)
+      signs                "plus": every mesh relation has unit coefficients
     """
 
+    signs = "plus"
+
     def __init__(self, field: PrimeField, quiver: TransQuiver,
-                 max_len_cap: int = 64, signs: str = "plus") -> None:
+                 max_len_cap: int = 64) -> None:
         self.field = field
         self.quiver = quiver
         self.verts = quiver.vertices
@@ -149,8 +152,7 @@ class MeshCategory:
         for v in self.verts:
             self._out[v].sort(key=lambda i: (self.arrows[i][1], self.arrows[i][2]))
             self._in[v].sort(key=lambda i: (self.arrows[i][0], self.arrows[i][2]))
-        self.signs = signs
-        # per vertex x: the mesh pairs (b, a) and their sign coefficients
+        # per vertex x: the middles (b, a) of its mesh relation
         self._mesh = {x: self._mesh_pairs(x) for x in self.verts}
         self._build_hom(max_len_cap)
         self._build_comp()
@@ -160,18 +162,15 @@ class MeshCategory:
 
     def _mesh_pairs(self, x: str):
         """For each arrow a: y -> x, the paired arrow tau x -> y, as the
-        middle (b, a) of a mesh path, with the sign coefficient of the pair."""
+        middle (b, a) of a mesh path."""
         tx = self.quiver.tau[x]
-        mids, coeffs = [], []
-        for pos, a in enumerate(self._in[x]):
-            y = self.arrows[a][0]
-            b = self._arrow_by_pair.get((tx, y))
+        mids = []
+        for a in self._in[x]:
+            b = self._arrow_by_pair.get((tx, self.arrows[a][0]))
             if b is None:
                 raise ValidationError(f"mesh structure violated at vertex {x!r}")
             mids.append((b, a))
-            alternate = self.signs == "alternating" and pos % 2 == 1
-            coeffs.append(self.field.p - 1 if alternate else 1)
-        return mids, coeffs
+        return mids
 
     def _build_hom(self, cap: int) -> None:
         p = self.field.p
@@ -224,11 +223,10 @@ class MeshCategory:
         paths, and terms on paths outside plist are dropped: those paths
         have a dead prefix, so they lie in the ideal and are zero."""
         index = {pp: k for k, pp in enumerate(plist)}
-        row_idx, col_idx, vals = [], [], []
+        row_idx, col_idx = [], []
         n_rows = 0
-        for x in self.verts:
+        for x, mids in self._mesh.items():
             tx = self.quiver.tau[x]
-            mids, coeffs = self._mesh[x]
             for i in range(length - 1):
                 left = alive[i].get((u, tx))
                 right = alive[length - 2 - i].get((x, v))
@@ -236,18 +234,16 @@ class MeshCategory:
                     continue
                 for r in left:
                     for q in right:
-                        row = [(index[pp], c) for mid, c in zip(mids, coeffs)
-                               if (pp := r + mid + q) in index]
+                        row = [k for mid in mids
+                               if (k := index.get(r + mid + q)) is not None]
                         if row:
                             row_idx.extend([n_rows] * len(row))
-                            for k, c in row:
-                                col_idx.append(k)
-                                vals.append(c)
+                            col_idx.extend(row)
                             n_rows += 1
         if not n_rows:
             return None
         rows = np.zeros((n_rows, len(plist)), dtype=np.int64)
-        np.add.at(rows, (row_idx, col_idx), vals)
+        np.add.at(rows, (row_idx, col_idx), 1)
         return rows % p
 
     def _reduce_level(self, u, v, length, plist, alive, p) -> int:
@@ -348,8 +344,8 @@ class MeshCategory:
         for x in self.verts:
             tx = self.quiver.tau[x]
             total = np.zeros(len(self.basis[(tx, x)]), dtype=np.int64)
-            for mid, coeff in zip(*self._mesh[x]):
-                total = total + coeff * self.reduce_path(tx, x, mid)
+            for mid in self._mesh[x]:
+                total = total + self.reduce_path(tx, x, mid)
             if np.any(total % p):
                 raise ValidationError(f"mesh relation at {x!r} does not vanish")
         self._check_associativity()
@@ -415,10 +411,8 @@ class MeshCategory:
 
     def check_stabilization(self) -> bool:
         """Recompute with the length cap raised by one; dims must agree."""
-        other = MeshCategory(
-            self.field, self.quiver,
-            max_len_cap=self.radical_length + 1, signs=self.signs,
-        )
+        other = MeshCategory(self.field, self.quiver,
+                             max_len_cap=self.radical_length + 1)
         return bool(np.array_equal(other.dims, self.dims))
 
     # ------------------------------------------------------------------ query
@@ -451,21 +445,6 @@ def check_rigid_vertices(cat: MeshCategory) -> None:
             raise ValidationError(
                 f"vertex {v!r} is not rigid: dim Hom(v, sigma v) = {d}"
             )
-
-
-def _build_validated(field: PrimeField, quiver: TransQuiver) -> MeshCategory:
-    """Construct with the unsigned mesh convention, falling back to
-    alternating signs in odd characteristic if validation rejects it."""
-    try:
-        cat = MeshCategory(field, quiver, signs="plus")
-        cat.validate()
-        return cat
-    except ValidationError:
-        if field.p == 2:
-            raise
-        cat = MeshCategory(field, quiver, signs="alternating")
-        cat.validate()
-        return cat
 
 
 # ---------------------------------------------------------------------- type A
@@ -506,7 +485,8 @@ def build_type_a(n: int, field: PrimeField) -> MeshCategory:
                                f"{names[(i, j)]}>{names[tgt]}"))
     tau = {names[(i, j)]: names[_norm_pair(i - 1, j - 1, m)] for (i, j) in diags}
     quiver = make_quiver([names[d] for d in diags], sorted(set(arrows)), tau)
-    cat = _build_validated(field, quiver)
+    cat = MeshCategory(field, quiver)
+    cat.validate()
     check_rigid_vertices(cat)
     return cat
 
@@ -746,7 +726,8 @@ def build_dynkin(q: DynkinQuiver, field: PrimeField) -> MeshCategory:
 
     arrows = sorted((s, t, f"{s}>{t}") for s, t in arrow_pairs)
     quiver = make_quiver(verts, arrows, tau)
-    cat = _build_validated(field, quiver)
+    cat = MeshCategory(field, quiver)
+    cat.validate()
     check_rigid_vertices(cat)
     return cat
 

@@ -178,12 +178,6 @@ def _generating_family(rigid: RigidStructure, mult_bound: int = 2,
     return pairs
 
 
-def _lex_rows(p: int, d: int) -> np.ndarray:
-    """All of F_p^d as a (p^d, d) array, in ``itertools.product`` order."""
-    n = np.arange(p ** d, dtype=np.int64)
-    return n[:, None] // p ** np.arange(d - 1, -1, -1, dtype=np.int64) % p
-
-
 @dataclass
 class _GeneratorRows:
     r_obj: Obj
@@ -193,31 +187,24 @@ class _GeneratorRows:
 
 
 def _generator_rows(rigid: RigidStructure, mult_bound: int,
-                    a_total: int | None, budget: int) -> list[_GeneratorRows]:
-    """The generators of every pair of ``_generating_family``, in order.
-
-    Hom(R, A) is enumerated when it has at most ``budget`` elements, else
-    ``sample_count`` seeded draws stand in for it.  Rows with an all-zero
-    block for some summand are dropped: they are direct sums of smaller
-    generators with trivial ones, covered elsewhere."""
+                    a_total: int | None) -> list[_GeneratorRows]:
+    """The generators of every pair of ``_generating_family``, in order:
+    the rows ``addcat.coeff_chunks`` takes from Hom(R, A).  Rows with an
+    all-zero block for some summand are dropped: they are direct sums of
+    smaller generators with trivial ones, covered elsewhere."""
     cache = getattr(rigid, "_gen_rows_cache", None)
     if cache is None:
         cache = rigid._gen_rows_cache = {}
-    key = (mult_bound, a_total, budget)
-    hit = cache.get(key)
+    hit = cache.get((mult_bound, a_total))
     if hit is not None:
         return hit
-    cat = rigid.cat
-    p = cat.field.p
+    cat, params = rigid.cat, rigid.params
     out = []
     for (r_obj, a_obj) in _generating_family(rigid, mult_bound, a_total):
         layout, dim_g = ac.hom_layout(cat, r_obj, a_obj)
-        sampled = dim_g > 0 and p ** dim_g > budget
-        if sampled:
-            rng = np.random.default_rng(rigid.params.seed)
-            rows = rng.integers(0, p, size=(rigid.params.sample_count, dim_g))
-        else:
-            rows = _lex_rows(p, dim_g)
+        (rows, sampled), = ac.coeff_chunks(cat.field.p, dim_g,
+                                           params.enum_exp_cap,
+                                           params.sample_count, params.seed)
         if len(r_obj) >= 1 and len(a_obj) >= 1 and dim_g:
             skip = np.zeros(rows.shape[0], dtype=bool)
             for side in (0, 1):
@@ -229,12 +216,12 @@ def _generator_rows(rigid: RigidStructure, mult_bound: int,
                     skip |= ~np.any(rows[:, idx], axis=1)
             rows = rows[~skip]
         out.append(_GeneratorRows(r_obj, a_obj, rows, sampled))
-    cache[key] = out
+    cache[(mult_bound, a_total)] = out
     return out
 
 
-def _generating_failures(rigid: RigidStructure, spaces, budget: int,
-                         mult_bound: int, a_total: int | None):
+def _generating_failures(rigid: RigidStructure, spaces, mult_bound: int,
+                         a_total: int | None):
     """For every (x, y, coeffs) of spaces, one int per row of coeffs: the
     index of the first generator pair against which that morphism x -> y
     fails to lift, or the number of pairs when it lifts against all.
@@ -248,7 +235,7 @@ def _generating_failures(rigid: RigidStructure, spaces, budget: int,
     for a pair is dropped after it, except the Hom(w, -) tensors of live
     spaces."""
     p = rigid.cat.field.p
-    gens = _generator_rows(rigid, mult_bound, a_total, budget)
+    gens = _generator_rows(rigid, mult_bound, a_total)
     fails = [np.full(len(c), len(gens), dtype=np.int64) for _, _, c in spaces]
     alive = {s: np.arange(len(c)) for s, (_, _, c) in enumerate(spaces)}
     tensors: dict[int, dict] = {}       # per live space, by object w
@@ -307,21 +294,18 @@ def _generating_failures(rigid: RigidStructure, spaces, budget: int,
 
 
 def rlp_against_generating_I(rigid: RigidStructure, r: Mor,
-                             budget: int | None = None,
                              mult_bound: int = 2,
                              a_total: int | None = None):
     """(verdict, exhaustive): right lifting property of r against every
     morphism of the generating family, enumerated over the field.
 
-    Stops at the first failing generator pair.  When a coefficient space
-    exceeds the budget it is sampled (seeded), and the returned flag is
-    False if such a pair was reached."""
-    if budget is None:
-        budget = rigid.cat.field.p ** rigid.params.enum_exp_cap
-    gens = _generator_rows(rigid, mult_bound, a_total, budget)
+    Stops at the first failing generator pair.  Generator spaces beyond
+    ``enum_exp_cap`` are sampled (``addcat.coeff_chunks``), and the
+    returned flag is False if such a pair was reached."""
+    gens = _generator_rows(rigid, mult_bound, a_total)
     fail = int(_generating_failures(
-        rigid, [(r.dom, r.cod, ac.mor_to_vec(r)[None])], budget,
-        mult_bound, a_total)[0][0])
+        rigid, [(r.dom, r.cod, ac.mor_to_vec(r)[None])], mult_bound,
+        a_total)[0][0])
     return fail == len(gens), not any(g.sampled for g in gens[:fail + 1])
 
 
@@ -582,26 +566,26 @@ def run_axiom_suite(cat: MeshCategory, rigid: RigidStructure,
 # ----------------------------------------------------------- lemma suite
 
 
-def _hom_spaces(cat: MeshCategory, pool, cap_exp: int, sample_count: int,
-                rng):
+def _hom_spaces(rigid: RigidStructure, pool, rng):
     """(x, y, coeffs) for every pair of pool objects, in order, and whether
-    all were exhaustive: coeffs is all of Hom(x, y) in lexicographic order
-    when dim Hom(x, y) <= cap_exp, else ``sample_count`` seeded draws."""
-    p = cat.field.p
+    all were exhaustive: coeffs is what ``addcat.coeff_chunks`` takes from
+    Hom(x, y), sampled spaces drawn from rng."""
+    cat, params = rigid.cat, rigid.params
     spaces = []
     exhaustive = True
     lex: dict[int, np.ndarray] = {}     # read-only, shared by equal dims
     for x in pool:
         for y in pool:
             d = ac.hom_space_dim(cat, x, y)
-            if d <= cap_exp:
-                coeffs = lex.get(d)
-                if coeffs is None:
-                    coeffs = lex[d] = _lex_rows(p, d)
-            else:
-                exhaustive = False
-                coeffs = np.array([rng.integers(0, p, size=d)
-                                   for _ in range(sample_count)])
+            coeffs = lex.get(d)
+            if coeffs is None:
+                (coeffs, sampled), = ac.coeff_chunks(
+                    cat.field.p, d, params.enum_exp_cap,
+                    params.sample_count, rng)
+                if sampled:
+                    exhaustive = False
+                else:
+                    lex[d] = coeffs
             spaces.append((x, y, coeffs))
     return spaces, exhaustive
 
@@ -645,13 +629,9 @@ def lemma_equivalence_suite(cat: MeshCategory, rigid: RigidStructure,
     for _ in range(8):
         fib_pool.append(rigid.factor_wcof_fib(
             _sample_mor(cat, pool, fib_rng)).second)
-    spaces, exhaustive = _hom_spaces(cat, pool, rigid.params.enum_exp_cap,
-                                     rigid.params.sample_count, rng)
-    budget = p ** rigid.params.enum_exp_cap
-    n_pairs = len(_generator_rows(rigid, gen_mult_bound, gen_a_total,
-                                  budget))
-    fails = _generating_failures(rigid, spaces, budget, gen_mult_bound,
-                                 gen_a_total)
+    spaces, exhaustive = _hom_spaces(rigid, pool, rng)
+    n_pairs = len(_generator_rows(rigid, gen_mult_bound, gen_a_total))
+    fails = _generating_failures(rigid, spaces, gen_mult_bound, gen_a_total)
     # class flags one pool row at a time, which bounds the stacks in memory
     masks = itertools.chain.from_iterable(
         rigid.class_masks(spaces[i:i + len(pool)])

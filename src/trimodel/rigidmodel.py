@@ -60,11 +60,17 @@ class NotRigidError(ValueError):
 
 @dataclass
 class EnumParams:
-    """Enumeration bounds; the defaults are sized for desk-scale categories."""
+    """Enumeration bounds; the defaults are sized for desk-scale categories.
+
+    One rule, ``addcat.coeff_chunks``, decides what the replacement search,
+    the generating-family oracle and the lemma suite see of a Hom space of
+    dimension d: all of it while d <= enum_exp_cap, else sample_count draws
+    seeded by seed.  A space taken in one piece holds at most
+    2^enum_exp_cap morphisms; a larger one is a failed check."""
 
     ts_total: int = 4            # summand bound for the cofibrant-object list
-    enum_exp_cap: int = 20       # exhaustive morphism spaces up to p^this
-    sample_count: int = 500      # seeded draws beyond the exhaustive cap
+    enum_exp_cap: int = 20
+    sample_count: int = 500
     seed: int = 0
 
 
@@ -269,8 +275,8 @@ class RigidStructure:
             for u in self.subcat(key)
         )
 
-    def approx(self, x: Obj, side: str, key, minimize: bool = True) -> Mor:
-        """Left/right approximation of x by the subcategory.
+    def approx(self, x: Obj, side: str, key) -> Mor:
+        """Minimal left/right approximation of x by the subcategory.
 
         The tautological bundle is the correctness anchor; minimization drops
         summand copies greedily in vertex-then-copy order while the
@@ -278,8 +284,6 @@ class RigidStructure:
         subcategory are memoized per object; callers must not mutate them.
         """
         f = self.tautological_approx(x, side, key)
-        if not minimize:
-            return f
         if not isinstance(key, str):
             return self._minimize(f, side, key)
         ck = (x.summands, side, key)
@@ -399,7 +403,7 @@ class RigidStructure:
     def _approx_criterion_cofibrant(self, v: str) -> bool:
         """The definition of a cofibrant vertex: its minimal left
         perp-approximation lands in the additive closure of sigma T."""
-        f = self.approx(Obj((v,)), "left", "perp", minimize=True)
+        f = self.approx(Obj((v,)), "left", "perp")
         return all(u in self.sigma_t_ind for u in f.cod.summands)
 
     def _enumerate_ts(self) -> None:
@@ -527,7 +531,7 @@ class RigidStructure:
         [f a] a fibration, a being a minimal right sigma-T-approximation of
         the codomain."""
         cat = self.cat
-        a = self.approx(f.cod, "right", "sigmaT", minimize=True)
+        a = self.approx(f.cod, "right", "sigmaT")
         first = ac.block_mor(cat, [f.dom, a.dom], [f.dom],
                              [[ac.identity(cat, f.dom)], [None]])
         second = ac.block_mor(cat, [f.cod], [f.dom, a.dom], [[f, a]])
@@ -552,7 +556,7 @@ class RigidStructure:
         if sol is None:
             raise AssertionError("no lift through the cofibrant replacement")
         ft = ac.vec_to_mor(cat, f.dom, qy_obj, sol)
-        eps = self.approx(f.dom, "left", "perp", minimize=True)
+        eps = self.approx(f.dom, "left", "perp")
         # the approximation is memoized, so one verification per domain
         # covers every later call
         if f.dom.summands not in self._eps_verified:
@@ -579,9 +583,9 @@ class RigidStructure:
         Candidates are filtered by the Hom(t, -) dimension fingerprint and
         searched in size order, so the first hit is minimal by summand count
         with lexicographic tie-breaking.  Within a candidate the morphisms are
-        tried in lexicographic coefficient order (seeded draws beyond
-        ``enum_exp_cap``), many at once, and the first trivial fibration is
-        the answer; it is certified by ``classify`` before it is returned.
+        tried in ``addcat.coeff_chunks`` order, many at once, and the first
+        trivial fibration is the answer; it is certified by ``classify``
+        before it is returned.
         Results are memoized per object; callers must not mutate them.
         """
         hit = self._replacement_cache.get(x.summands)
@@ -614,25 +618,6 @@ class RigidStructure:
             return cand, q
         raise RuntimeError("no replacement found within budget")
 
-    def _coeff_chunks(self, d: int, cap_exp: int, chunk: int):
-        """Coefficient vectors of length d as (rows, d) arrays of at most
-        1024 rows, the first of ``chunk`` rows and each next one four times
-        larger: all of F_p^d in lexicographic order when d <= cap_exp, else
-        ``sample_count`` seeded draws."""
-        p = self.cat.field.p
-        if d <= cap_exp:
-            space = itertools.product(range(p), repeat=d)
-        else:
-            rng = np.random.default_rng(self.params.seed)
-            space = (rng.integers(0, p, size=d)
-                     for _ in range(self.params.sample_count))
-        while True:
-            batch = list(itertools.islice(space, chunk))
-            if not batch:
-                return
-            yield np.array(batch, dtype=np.int64).reshape(len(batch), d)
-            chunk = min(4 * chunk, 1024)
-
     def _first_wfib(self, cand: Obj, x: Obj):
         """Coefficient vector of the first trivial fibration cand -> x in
         search order, or None.  The caller matched dim Hom(t, -) for t in T,
@@ -648,7 +633,9 @@ class RigidStructure:
                   for w in self.t_ind + tuple(cat.sigma_vertex(t)
                                               for t in self.t_ind)]
         # most searches end within the first rows, so chunks start small
-        for rows in self._coeff_chunks(d, self.params.enum_exp_cap, 16):
+        for rows, _ in ac.coeff_chunks(p, d, self.params.enum_exp_cap,
+                                       self.params.sample_count,
+                                       self.params.seed, first=16):
             for lt in checks:
                 if lt.shape[1]:
                     rows = rows[batch_rank(ac.apply_tensor(lt, rows, p), p)

@@ -154,6 +154,61 @@ def test_enumeration_budget(cat):
         list(ac.enumerate_morphisms(cat, x, x, cap=2 ** 10))
 
 
+def _rows(p, d, cap_exp, draws, seed, first=None):
+    chunks = list(ac.coeff_chunks(p, d, cap_exp, draws, seed, first))
+    return np.concatenate([rows for rows, _ in chunks]), chunks
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("d", [0, 1, 4])
+def test_coeff_chunks_enumerate_in_product_order(p, d):
+    want = np.array(list(itertools.product(range(p), repeat=d)),
+                    dtype=np.int64).reshape(p ** d, d)
+    for first in (None, 1, 16):
+        rows, chunks = _rows(p, d, 10, 7, 0, first)
+        assert rows.dtype == np.int64
+        assert np.array_equal(rows, want)
+        assert not any(sampled for _, sampled in chunks)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_coeff_chunks_sample_beyond_the_cap(p):
+    d, draws = 6, 700
+    rng = np.random.default_rng(11)
+    want = np.array([rng.integers(0, p, size=d) for _ in range(draws)])
+    whole, chunks = _rows(p, d, 5, draws, 11)
+    assert len(chunks) == 1 and chunks[0][1]
+    assert np.array_equal(whole, want)
+    # a Generator is drawn from as it stands
+    from_gen, _ = _rows(p, d, 5, draws, np.random.default_rng(11))
+    assert np.array_equal(from_gen, want)
+    rows, chunks = _rows(p, d, 5, draws, 11, first=16)
+    assert [len(c) for c, _ in chunks] == [16, 64, 256, 364]
+    assert all(sampled for _, sampled in chunks)
+    assert np.array_equal(rows, want)
+
+
+def test_coeff_chunks_grow_to_1024():
+    _, chunks = _rows(2, 13, 13, 0, 0, first=16)
+    assert [len(c) for c, _ in chunks] == [16, 64, 256] + [1024] * 7 + [688]
+
+
+def test_coeff_chunks_first_chunk_at_large_p():
+    # p ** (d - 1) overflows int64 at p = 97 and d = 12
+    rows, _ = next(ac.coeff_chunks(97, 12, 12, 0, 0, first=16))
+    want = list(itertools.islice(itertools.product(range(97), repeat=12), 16))
+    assert rows.tolist() == [list(r) for r in want]
+
+
+def test_coeff_chunks_refuse_a_large_whole_space():
+    # at most 2^4 = 16 rows whole: 3^2 is taken, 3^3 is refused
+    assert len(next(ac.coeff_chunks(3, 2, 4, 0, 0))[0]) == 9
+    with pytest.raises(RuntimeError, match="3\\^3"):
+        next(ac.coeff_chunks(3, 3, 4, 0, 0))
+    # in chunks the same space is fine
+    assert len(_rows(3, 3, 4, 0, 0, first=4)[0]) == 27
+
+
 def test_random_morphism_deterministic(cat):
     x, y = ac.obj("13", "14"), ac.obj("24", "25")
     assert ac.random_morphism(cat, x, y, 42) == \

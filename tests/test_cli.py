@@ -226,6 +226,20 @@ def test_construction_failure_is_a_failed_check():
     assert data["checks"][0]["details"].startswith("RuntimeError: ")
 
 
+def test_whole_hom_space_beyond_the_cap_is_a_failed_check():
+    # at p = 97 the lemma suite would take all 97^4 morphisms of a
+    # four-dimensional Hom space, more than 2^enum_exp_cap
+    r = run_cli("lemmas", "--type", "A", "--rank", "2", "--T", "13",
+                "--field-char", "97", "--report", "json")
+    assert r.returncode == 1
+    assert b"Traceback" not in r.stderr
+    data = json.loads(r.stdout)
+    assert [(c["name"], c["status"]) for c in data["checks"]] == \
+        [("construction", "fail")]
+    assert data["checks"][0]["details"].startswith("RuntimeError: ")
+    assert "97^4" in data["checks"][0]["details"]
+
+
 def test_empty_report_summary():
     from trimodel.report import Report
     assert Report("x", {}).summary == "0 checks"

@@ -179,8 +179,10 @@ class ConeSweep:
         radical = self.cone_tensors(t1, t0)[0]
         x1, x0 = Obj(t1), Obj(t0)
         d = ac.hom_space_dim(cat, x1, x0)
-        for coeff_rows in self.rigid._coeff_chunks(len(radical),
-                                                   self.pair_cap_exp, 1024):
+        params = self.rigid.params
+        for coeff_rows, _ in ac.coeff_chunks(
+                cat.field.p, len(radical), self.pair_cap_exp,
+                params.sample_count, params.seed, first=1024):
             rows = np.zeros((len(coeff_rows), d), dtype=np.int64)
             rows[:, radical] = coeff_rows
             fps = self.batch_cone_fps(t1, t0, rows)
@@ -234,7 +236,7 @@ class ConeSweep:
         for v in cat.verts:
             crit = rigid._approx_criterion_cofibrant(v)
             if crit and v not in vertices:
-                t0_mor = rigid.approx(Obj((v,)), "right", "T", minimize=True)
+                t0_mor = rigid.approx(Obj((v,)), "right", "T")
                 t0 = tuple(sorted(t0_mor.dom.summands))
                 target = tuple(int(x) for x in cat.dims[:, cat.vidx[v]])
                 if any(self.cones_of_pair(t1, t0, found, ambiguous,

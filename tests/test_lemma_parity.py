@@ -40,14 +40,12 @@ def _elementary_gen_tensor(rigid, r_obj, a_obj, z_obj, cache):
     return cache[key]
 
 
-def per_row_rlp(rigid, r, budget=None, mult_bound=2, a_total=None,
-                cache=None):
+def per_row_rlp(rigid, r, mult_bound=2, a_total=None, cache=None):
     """(verdict, exhaustive), one generator row at a time."""
     cat = rigid.cat
     p = cat.field.p
     cache = {} if cache is None else cache
-    if budget is None:
-        budget = p ** rigid.params.enum_exp_cap
+    budget = p ** rigid.params.enum_exp_cap
     x_obj, y_obj = r.dom, r.cod
     lf_cache = {}
 
@@ -200,14 +198,10 @@ def batched_records(cat, rigid, max_summands=2, seed=0, gen_mult_bound=2,
     """The same records, from the batched building blocks of the suite."""
     p = cat.field.p
     pool = oracle.objects_up_to(cat, max_summands)
-    spaces, _ = oracle._hom_spaces(cat, pool, rigid.params.enum_exp_cap,
-                                   rigid.params.sample_count,
-                                   np.random.default_rng(seed))
-    budget = p ** rigid.params.enum_exp_cap
-    n_pairs = len(oracle._generator_rows(rigid, gen_mult_bound, gen_a_total,
-                                         budget))
-    fails = oracle._generating_failures(rigid, spaces, budget,
-                                        gen_mult_bound, gen_a_total)
+    spaces, _ = oracle._hom_spaces(rigid, pool, np.random.default_rng(seed))
+    n_pairs = len(oracle._generator_rows(rigid, gen_mult_bound, gen_a_total))
+    fails = oracle._generating_failures(rigid, spaces, gen_mult_bound,
+                                        gen_a_total)
     records = []
     for (x, y, coeffs), fail, (weq, fib) in zip(
             spaces, fails, rigid.class_masks(spaces)):
@@ -281,19 +275,19 @@ def test_suite_matches_per_morphism_oracle(rank, p, key, mult):
 
 def test_one_morphism_call_matches_per_row_oracle():
     # verdict and exhaustive flag of the public one-morphism call, on every
-    # morphism between objects of at most two summands of A2; budget 1
+    # morphism between objects of at most two summands of A2; a cap of 0
     # samples every generator pair with a nonzero Hom space
     cat = _cat(2, 2)
+    pool = oracle.objects_up_to(cat, 2)
     for key in ("13", "13,14"):
-        rigid = rm.build_rigid(cat, key.split(","))
-        pool = oracle.objects_up_to(cat, 2)
         cache = {}
-        for x, y in itertools.product(pool, pool):
-            for f in ac.enumerate_morphisms(cat, x, y):
-                for budget in (None, 1):
+        for params in (None, rm.EnumParams(enum_exp_cap=0)):
+            rigid = rm.build_rigid(cat, key.split(","), params)
+            for x, y in itertools.product(pool, pool):
+                for f in ac.enumerate_morphisms(cat, x, y):
                     assert oracle.rlp_against_generating_I(
-                        rigid, f, budget=budget, a_total=2) == per_row_rlp(
-                            rigid, f, budget=budget, a_total=2, cache=cache)
+                        rigid, f, a_total=2) == per_row_rlp(
+                            rigid, f, a_total=2, cache=cache)
 
 
 def test_a_pair_fails_when_any_of_its_rows_fails(monkeypatch):
@@ -310,7 +304,7 @@ def test_a_pair_fails_when_any_of_its_rows_fails(monkeypatch):
                  np.concatenate([zero, ident]), ident):
         gens = [oracle._GeneratorRows(v, v, rows, False)]
         monkeypatch.setattr(oracle, "_generator_rows", lambda *a: gens)
-        fails = oracle._generating_failures(rigid, spaces, 2, 2, 2)
+        fails = oracle._generating_failures(rigid, spaces, 2, 2)
         want = [1, 1] if len(rows) == 1 else [0, 1]
         assert fails[0].tolist() == want
     # the exhaustive flag covers the pairs walked, the failing one included
