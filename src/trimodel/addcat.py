@@ -464,14 +464,6 @@ def find_retraction(f: Mor):
     return vec_to_mor(cat, f.cod, f.dom, x)
 
 
-def hom_fingerprint(cat: MeshCategory, x: Obj) -> np.ndarray:
-    """(dim Hom(v, x))_v over the vertex order of the category."""
-    fp = np.zeros(len(cat.verts), dtype=np.int64)
-    for s in x.summands:
-        fp += cat.dims[:, cat.vidx[s]]
-    return fp
-
-
 def enumerate_morphisms(cat: MeshCategory, x: Obj, y: Obj,
                         cap: int = 2 ** 20):
     """All of Hom(x, y) in lexicographic coefficient order."""

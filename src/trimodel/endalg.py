@@ -272,7 +272,7 @@ def check_equivalence(rigid: RigidStructure, pair_total: int = 2,
 def essential_surjectivity_probe(rigid: RigidStructure, max_summands: int = 2,
                                  budget: int = 50, seed: int = 0) -> Report:
     """Optional bounded probe: modules of arbitrary objects are isomorphic
-    to modules of cofibrant ones (via the replacement search)."""
+    to modules of cofibrant ones (via the cofibrant replacement)."""
     cat = rigid.cat
     alg = end_algebra(rigid)
     rng = np.random.default_rng(seed)

@@ -26,10 +26,11 @@ derives the whole verification surface:
     matrices such as [f a], [1; 0] and [[1, h], [1, 0]], assembled by
     ``addcat.block_mor``;
   * both factorizations and cofibrant replacements, each returned with
-    certified factors and exact composite equality.  The replacement search
-    tests a candidate's morphisms in chunks, in the same enumeration order
-    as a one-by-one search, through batched ranks of Hom(w, q) for w in T
-    and sigma T; the winner is certified by ``classify``.
+    certified factors and exact composite equality.  The domain of the
+    replacement Q(X) -> X is the minimal right approximation of X by the
+    cofibrant indecomposables ("TS"), built summand by summand; its
+    morphism is the first trivial fibration in ``addcat.coeff_chunks``
+    order, found by ``class_masks`` and certified by ``classify``.
 
 Tautological and minimal approximations for the named subcategories and
 cofibrant replacements are memoized per object on the ``RigidStructure``,
@@ -45,8 +46,7 @@ import numpy as np
 
 from . import addcat as ac
 from .addcat import Mor, Obj
-from .exactlin import (array_rref, array_solve, batch_rank, fast_rank,
-                       ragged_rank)
+from .exactlin import array_rref, array_solve, fast_rank, ragged_rank
 from .meshcat import MeshCategory
 
 
@@ -62,13 +62,14 @@ class NotRigidError(ValueError):
 class EnumParams:
     """Enumeration bounds; the defaults are sized for desk-scale categories.
 
-    One rule, ``addcat.coeff_chunks``, decides what the replacement search,
-    the generating-family oracle and the lemma suite see of a Hom space of
+    One rule, ``addcat.coeff_chunks``, decides what the replacement, the
+    generating-family oracle and the lemma suite see of a Hom space of
     dimension d: all of it while d <= enum_exp_cap, else sample_count draws
     seeded by seed.  A space taken in one piece holds at most
     2^enum_exp_cap morphisms; a larger one is a failed check."""
 
-    ts_total: int = 4            # summand bound for the cofibrant-object list
+    ts_total: int = 4    # summand bound of ts_list (axiom draws, generating
+                         # family, equivalence pairs, list-ts), not of Q(x)
     enum_exp_cap: int = 20
     sample_count: int = 500
     seed: int = 0
@@ -133,18 +134,18 @@ class RigidStructure:
         self._approx_cache: dict = {}
         self._replacement_cache: dict = {}
         self._eps_verified: set = set()
-        self._ts_t_fps = None    # dim Hom(t, cand), t in T, cand in ts_list
         self._enumerate_ts()
 
     # ------------------------------------------------------------- subcats
 
     def subcat(self, name) -> tuple[str, ...]:
         if isinstance(name, str):
-            try:
-                return {"T": self.t_ind, "sigmaT": self.sigma_t_ind,
-                        "perp": self.perp_ind}[name]
-            except KeyError:
-                raise ValueError(f"unknown subcategory spec {name!r}") from None
+            # read by name: ts_ind is built later, from "perp" approximations
+            attr = {"T": "t_ind", "sigmaT": "sigma_t_ind", "perp": "perp_ind",
+                    "TS": "ts_ind"}.get(name)
+            if attr is None:
+                raise ValueError(f"unknown subcategory spec {name!r}")
+            return getattr(self, attr)
         return tuple(sorted(set(name)))
 
     # -------------------------------------------------------------- ideals
@@ -580,12 +581,15 @@ class RigidStructure:
     def cofibrant_replacement(self, x: Obj) -> tuple[Obj, Mor]:
         """Minimal cofibrant object with a certified trivial fibration onto x.
 
-        Candidates are filtered by the Hom(t, -) dimension fingerprint and
-        searched in size order, so the first hit is minimal by summand count
-        with lexicographic tie-breaking.  Within a candidate the morphisms are
-        tried in ``addcat.coeff_chunks`` order, many at once, and the first
-        trivial fibration is the answer; it is certified by ``classify``
-        before it is returned.
+        A trivial fibration from a cofibrant object lifts every map from a
+        cofibrant object, so it is a right TS-approximation, and a minimal
+        one is the minimal approximation, unique up to isomorphism.  The
+        domain is therefore the sorted union of the minimal right
+        TS-approximations of the summands of x.  Its morphisms are tested in
+        ``addcat.coeff_chunks`` order, many at once, and the first trivial
+        fibration is the answer; it is certified by ``classify`` before it
+        is returned.  When none is found, the RuntimeError names x, the
+        domain and whether the rows were sampled.
         Results are memoized per object; callers must not mutate them.
         """
         hit = self._replacement_cache.get(x.summands)
@@ -598,53 +602,27 @@ class RigidStructure:
         cat = self.cat
         if self.is_cofibrant(x):
             return x, ac.identity(cat, x)
-        # a weak equivalence needs dim Hom(t, cand) == dim Hom(t, x) for t in T
-        t_rows = [cat.vidx[t] for t in self.t_ind]
-        if self._ts_t_fps is None:
-            self._ts_t_fps = np.array(
-                [ac.hom_fingerprint(cat, c)[t_rows] for c in self.ts_list],
-                dtype=np.int64).reshape(len(self.ts_list), len(t_rows))
-        want = ac.hom_fingerprint(cat, x)[t_rows]
-        for k in np.flatnonzero((self._ts_t_fps == want).all(axis=1)):
-            cand = self.ts_list[k]
-            vec = self._first_wfib(cand, x)
-            if vec is None:
-                continue
-            q = ac.vec_to_mor(cat, cand, x, vec)
-            if not self.classify(q).wfib:
-                raise AssertionError("batched replacement search returned a "
-                                     "morphism that is not a trivial "
-                                     "fibration")
-            return cand, q
-        raise RuntimeError("no replacement found within budget")
-
-    def _first_wfib(self, cand: Obj, x: Obj):
-        """Coefficient vector of the first trivial fibration cand -> x in
-        search order, or None.  The caller matched dim Hom(t, -) for t in T,
-        so every Hom(t, q) is square.
-
-        Rows are tested in chunks: a row survives vertex w while Hom(w, q)
-        keeps full row rank, so what survives every t and sigma t is
-        exactly what ``classify`` calls a trivial fibration."""
-        cat = self.cat
-        p = cat.field.p
-        d = ac.hom_space_dim(cat, cand, x)
-        checks = [ac.left_mul_tensor(cat, Obj((w,)), cand, x)
-                  for w in self.t_ind + tuple(cat.sigma_vertex(t)
-                                              for t in self.t_ind)]
+        # minimal approximations are additive, so Q(x) is built summand-wise
+        qx = Obj(tuple(sorted(
+            u for v in x.summands
+            for u in self.approx(Obj((v,)), "right", "TS").dom.summands)))
+        sampled = True    # only a draw-free sample yields no rows at all
         # most searches end within the first rows, so chunks start small
-        for rows, _ in ac.coeff_chunks(p, d, self.params.enum_exp_cap,
-                                       self.params.sample_count,
-                                       self.params.seed, first=16):
-            for lt in checks:
-                if lt.shape[1]:
-                    rows = rows[batch_rank(ac.apply_tensor(lt, rows, p), p)
-                                == lt.shape[1]]
-                if not len(rows):
-                    break
-            if len(rows):
-                return rows[0]
-        return None
+        for rows, sampled in ac.coeff_chunks(
+                cat.field.p, ac.hom_space_dim(cat, qx, x),
+                self.params.enum_exp_cap, self.params.sample_count,
+                self.params.seed, first=16):
+            (weq, fib), = self.class_masks([(qx, x, rows)])
+            hits = np.flatnonzero(weq & fib)
+            if len(hits):
+                q = ac.vec_to_mor(cat, qx, x, rows[hits[0]])
+                if not self.classify(q).wfib:
+                    raise AssertionError("class_masks and classify disagree "
+                                         "on a replacement morphism")
+                return qx, q
+        raise RuntimeError(
+            f"no trivial fibration {list(qx.summands)} -> {list(x.summands)} "
+            f"among the {'sampled' if sampled else 'enumerated'} morphisms")
 
 
 def build_rigid(cat: MeshCategory, t_ind, params: EnumParams | None = None) -> RigidStructure:

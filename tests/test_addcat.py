@@ -123,24 +123,6 @@ def test_multiset_sub(cat):
         ac.multiset_sub(ac.obj("13"), ac.obj("14"))
 
 
-def test_fingerprint_values(cat):
-    assert not np.any(ac.hom_fingerprint(cat, ac.obj()))
-    # Hom(v, 13) is nonzero exactly for v in {13, 35}
-    fp = ac.hom_fingerprint(cat, ac.obj("13"))
-    assert dict(zip(cat.verts, fp)) == {
-        "13": 1, "14": 0, "24": 0, "25": 0, "35": 1}
-
-
-def test_fingerprint_additive(cat):
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        xs = [cat.verts[i] for i in rng.integers(0, 5, size=3)]
-        x, y = ac.Obj(tuple(xs[:2])), ac.Obj((xs[2],))
-        assert np.array_equal(
-            ac.hom_fingerprint(cat, ac.dsum_obj(x, y)),
-            ac.hom_fingerprint(cat, x) + ac.hom_fingerprint(cat, y))
-
-
 def test_enumeration_count(cat):
     x = ac.obj("13", "13")
     mors = list(ac.enumerate_morphisms(cat, x, x))

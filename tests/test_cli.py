@@ -216,14 +216,16 @@ def test_axioms_d4_paper_default_rigid_set():
     assert all(c["status"] == "pass" for c in data["checks"])
 
 
-def test_construction_failure_is_a_failed_check():
+def test_axioms_d4_paper_with_replacements_beyond_ts_total():
+    # some objects of this rigid set are replaced by more than ts_total
+    # summands, beyond the cofibrant objects the suite draws from
     r = run_cli("axioms", "--type", "d4-paper", "--T", "M0010,M0001,SP1",
                 "--report", "json")
-    assert r.returncode == 1
+    assert r.returncode == 0, r.stdout
     assert b"Traceback" not in r.stderr
     data = json.loads(r.stdout)
-    assert [c["status"] for c in data["checks"]] == ["fail"]
-    assert data["checks"][0]["details"].startswith("RuntimeError: ")
+    assert data["checks"]
+    assert all(c["status"] == "pass" for c in data["checks"])
 
 
 def test_whole_hom_space_beyond_the_cap_is_a_failed_check():

@@ -57,9 +57,9 @@ CLI_CASES = {
         ["classify", "--type", "A", "--rank", "3", "--T", "13",
          "--mor", "mor.json"], 0,
         "275e6c553f67833c825fe92e4f3b6f8cd1b3a2683d483947428519d2a370c27d"),
-    "axioms-d4-paper-bad-T": (
-        ["axioms", "--type", "d4-paper", "--T", "M0010,M0001,SP1"], 1,
-        "a4a2088a81e3d686c4c26af6c2526acd81d30d492a5a39f0787d56191d873a9b"),
+    "axioms-d4-paper-M0010,M0001,SP1": (
+        ["axioms", "--type", "d4-paper", "--T", "M0010,M0001,SP1"], 0,
+        "c46205f36f053870f8fe46edc085792d7aeb869f5d613b028a71cec184355801"),
 }
 
 

@@ -392,9 +392,11 @@ def test_all_rigid_subsets_counts():
 
 
 def replacement_oracle(rigid, x):
-    """The replacement search one morphism at a time: every morphism of each
-    fingerprint-matching candidate, in enumeration order, through the full
-    ``classify``."""
+    """Cofibrant replacement by search, one morphism at a time: the
+    candidates of ts_list in size order whose Hom(t, -) dimensions match
+    x's, each Hom space in enumeration order, through the full
+    ``classify``; it comes up empty where the replacement needs more than
+    ts_total summands."""
     cat = rigid.cat
     p = cat.field.p
     if rigid.is_cofibrant(x):
@@ -474,7 +476,8 @@ def parity_rigids():
 
 def test_replacement_matches_one_by_one_search(parity_rigids):
     """Every object of at most 2 summands, on every A2 and A3 rigid set and
-    two D4 sets."""
+    two D4 sets.  Where the search through ts_list comes up empty, the
+    replacement's domain is beyond its ts_total summands."""
     from trimodel.oracle import objects_up_to
     raised = 0
     for rigid in parity_rigids:
@@ -482,8 +485,13 @@ def test_replacement_matches_one_by_one_search(parity_rigids):
             want = _replacement_outcome(replacement_oracle, rigid, x)
             got = _replacement_outcome(rm.RigidStructure.cofibrant_replacement,
                                        rigid, x)
-            assert got == want, (rigid.t_ind, x)
-            raised += want[0] == "raised"
+            if want[0] != "raised":
+                assert got == want, (rigid.t_ind, x)
+                continue
+            raised += 1
+            qx, q = rigid.cofibrant_replacement(x)
+            assert len(qx) > rigid.params.ts_total, (rigid.t_ind, x)
+            assert rigid.is_cofibrant(qx) and rigid.classify(q).wfib
     assert raised
 
 
@@ -503,6 +511,31 @@ def test_replacement_matches_one_by_one_search_odd_p_and_sampled(p, params):
                 rm.RigidStructure.cofibrant_replacement, rigid, x) == \
                 _replacement_outcome(replacement_oracle, rigid, x), \
                 (t_set, x)
+
+
+def test_every_d4_replacement_is_certified(rigids_d4):
+    """Every object of at most 2 summands on every D4 rigid set at p = 2,
+    some of them replaced by more than ts_total summands."""
+    from trimodel.oracle import objects_up_to
+    longest = 0
+    for t, rigid in rigids_d4.items():
+        for x in objects_up_to(rigid.cat, 2):
+            qx, q = rigid.cofibrant_replacement(x)
+            assert q.dom == qx and q.cod == x
+            assert rigid.is_cofibrant(qx), (t, x)
+            assert rigid.classify(q).wfib, (t, x)
+            longest = max(longest, len(qx))
+    assert longest > rm.EnumParams().ts_total
+
+
+def test_replacement_failure_names_its_witness(cat):
+    """With no draws the search finds nothing; the error names the object,
+    the constructed domain and that the rows were sampled."""
+    rigid = rm.build_rigid(cat, ["13"], rm.EnumParams(enum_exp_cap=0,
+                                                      sample_count=0))
+    with pytest.raises(RuntimeError, match=r"\['13'\] -> \['14'\] "
+                       r"among the sampled"):
+        rigid.cofibrant_replacement(ac.obj("14"))
 
 
 def test_replacement_is_memoized_and_certified(rigid):
