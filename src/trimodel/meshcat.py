@@ -16,18 +16,23 @@ whole level dies, every longer level dies too (any longer path factors through
 a dead one), which gives the stopping rule and the radical length.
 
 Only the paths of a level whose coordinates are nonzero are extended to the
-next level.  A path with a dead prefix lies in the two-sided ideal, so its
-column would be a pivot whose reduced row is its own unit vector; leaving it
-out changes no other row of the reduced form, so the basis, the coordinates
-and the stopping rule are those of the full enumeration.  The relations are
-taken with both factors r and q in r . mesh . q surviving (a relation with a
-dead factor is, modulo dead paths, a sum of relations whose factors survive),
-and their terms on paths never enumerated are dropped.  A path that was never
-enumerated reduces to zero.
+next level, and a path is enumerated only when its suffix after the first
+arrow has nonzero coordinates as well.  A path with a dead prefix or a dead
+suffix lies in the two-sided ideal, so its column would be a pivot whose
+reduced row is its own unit vector; leaving it out changes no other row of
+the reduced form, so the basis, the coordinates and the stopping rule are
+those of the full enumeration.  The relations are taken with both factors r
+and q in r . mesh . q surviving (a relation with a dead factor is, modulo
+dead paths, a sum of relations whose factors survive), and their terms on
+paths never enumerated are dropped.  A path that was never enumerated
+reduces to zero.
 
-``validate`` checks the mesh relations and associativity exhaustively; the
-associativity equations are checked for all source vertices at once, which is
-the same equation set as checking each chain of Hom spaces separately.
+``validate`` checks the mesh relations and associativity exhaustively.  The
+associativity equations of all source vertices are checked at once, with the
+source as a batch axis and each block padded only to the largest Hom
+dimension into its vertex; that is the same equation set as checking each
+chain of Hom spaces separately, and no product of two different sources'
+blocks is formed.
 
 Builders are provided for the polygon presentation of type A and for the
 knitted presentation of an arbitrary simply laced Dynkin quiver (module
@@ -198,8 +203,12 @@ class MeshCategory:
                 for (u, w), plist in alive[length - 1].items():
                     for a in self._out[w]:
                         tgt = self.arrows[a][1]
+                        # pp + (a,) is extended only when its suffix after
+                        # the first arrow survives too
                         lvl.setdefault((u, tgt), []).extend(
                             pp + (a,) for pp in plist
+                            if not pp or pp[1:] + (a,) in
+                            self._red[(self.arrows[pp[0]][1], tgt)]
                         )
                 for key in lvl:
                     lvl[key].sort()
@@ -221,7 +230,7 @@ class MeshCategory:
 
         Both factors r and q of a relation r . mesh_x . q are surviving
         paths, and terms on paths outside plist are dropped: those paths
-        have a dead prefix, so they lie in the ideal and are zero."""
+        have a dead prefix or suffix, so they lie in the ideal and are zero."""
         index = {pp: k for k, pp in enumerate(plist)}
         row_idx, col_idx = [], []
         n_rows = 0
@@ -353,57 +362,49 @@ class MeshCategory:
     def _check_associativity(self) -> None:
         """h . (g . f) = (h . g) . f on basis classes, for every chain
         u -> v -> w -> z of nonzero Hom spaces; raises ValidationError
-        naming a failing chain.
+        naming a failing chain (the first source u in vertex order).
 
-        The check is batched over the source u.  For each nonzero Hom(v, w),
-        lam[(v, w)] holds comp[(u, v, w)] as block u of a tensor that is
-        block diagonal over u, of shape
-        (dim Hom(v, w), sum_u dim Hom(u, v), sum_u dim Hom(u, w)).
-        For each z with Hom(w, z) nonzero, one comparison mod p of
-            einsum("gab,hbc->hgac", lam[(v, w)], lam[(w, z)])
-            einsum("hgq,qac->hgac", comp[(v, w, z)], lam[(v, z)])
-        checks every chain u -> v -> w -> z at once: block u of the two
-        sides is h . (g . f) and (h . g) . f for that u, and the blocks off
-        the diagonal are zero on both sides.  So it is the same equation set
-        as checking chain by chain, with one comparison per (v, w, z).
+        The source u is kept as a batch axis.  For each nonzero Hom(v, w),
+        lam[(v, w)] holds comp[(u, v, w)] as slice u of a tensor of shape
+        (dim Hom(v, w), |V|, pad[v], pad[w]), where pad[x] is the largest
+        dim Hom(u, x) over u and each block is zero-padded to it.  For each
+        z with Hom(w, z) nonzero, one comparison mod p of
+            matmul(lam[(v, w)][None], lam[(w, z)][:, None])
+            einsum("hgq,quac->hguac", comp[(v, w, z)], lam[(v, z)])
+        (the einsum taken as one matrix product) checks every chain
+        u -> v -> w -> z at once: slice u of the two sides is h . (g . f)
+        and (h . g) . f for that u, and the padding is zero on both sides.
+        So it is the same equation set as checking chain by chain, with one
+        comparison per (v, w, z), and no product between blocks of
+        different sources is formed.
         """
         p = self.field.p
         V = self.verts
-        # starts[u, v]: first index of block u among the sum_u Hom(u, v)
-        # indices; starts[-1, v] is that sum
-        starts = np.zeros((len(V) + 1, len(V)), dtype=np.int64)
-        np.cumsum(self.dims, axis=0, out=starts[1:])
-        total = starts[-1]
+        pad = self.dims.max(axis=0)
         lam: dict[tuple[str, str], np.ndarray] = {}
         for (u, v, w), t in self.comp.items():
             big = lam.get((v, w))
             if big is None:
                 big = lam[(v, w)] = np.zeros(
-                    (t.shape[0], total[self.vidx[v]], total[self.vidx[w]]),
-                    dtype=np.int64,
-                )
-            a0 = starts[self.vidx[u], self.vidx[v]]
-            b0 = starts[self.vidx[u], self.vidx[w]]
-            big[:, a0:a0 + t.shape[1], b0:b0 + t.shape[2]] = t
+                    (t.shape[0], len(V), pad[self.vidx[v]], pad[self.vidx[w]]),
+                    dtype=np.int64)
+            big[:, self.vidx[u], :t.shape[1], :t.shape[2]] = t
         succ: dict[str, list[str]] = {}
         for v, w in lam:
             succ.setdefault(v, []).append(w)
         for (v, w), lam_vw in lam.items():
             for z in succ.get(w, ()):
+                lhs = np.matmul(lam_vw[None], lam[(w, z)][:, None])
+                # (h . g) . f is zero when Hom(v, z) is
+                rhs = 0
                 lam_vz = lam.get((v, z))
-                if lam_vz is None:
-                    lam_vz = np.zeros(
-                        (0, total[self.vidx[v]], total[self.vidx[z]]),
-                        dtype=np.int64,
-                    )
-                lhs = np.einsum("gab,hbc->hgac", lam_vw, lam[(w, z)])
-                rhs = np.einsum("hgq,qac->hgac", self.comp[(v, w, z)], lam_vz)
+                if lam_vz is not None:
+                    c = self.comp[(v, w, z)]
+                    rhs = (c.reshape(-1, c.shape[2])
+                           @ lam_vz.reshape(c.shape[2], -1)).reshape(lhs.shape)
                 diff = (lhs - rhs) % p
                 if diff.any():
-                    # the block of sum_u Hom(u, v) that holds the first bad row
-                    a = np.nonzero(diff.any(axis=(0, 1, 3)))[0][0]
-                    iu = int(np.searchsorted(
-                        starts[:, self.vidx[v]], a, side="right")) - 1
+                    iu = int(np.flatnonzero(diff.any(axis=(0, 1, 3, 4)))[0])
                     raise ValidationError(
                         f"associativity fails on Hom chain "
                         f"{V[iu]!r} -> {v!r} -> {w!r} -> {z!r}"

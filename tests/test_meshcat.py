@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 
 import numpy as np
 import pytest
@@ -123,35 +124,59 @@ def chain_by_chain_failures(cat):
     return failures
 
 
+def assert_corruptions_agree(cat, entries):
+    """The batched check and the chain-by-chain reference agree on each
+    single-entry corruption (key, idx) of comp, and the error names a
+    failing chain with its first failing source.  Returns how many of the
+    corruptions broke associativity."""
+    p = cat.field.p
+    assert chain_by_chain_failures(cat) == []
+    caught = 0
+    for key, idx in entries:
+        t = cat.comp[key]
+        old = t[idx]
+        t[idx] = (old + 1) % p
+        try:
+            failures = chain_by_chain_failures(cat)
+            if failures:
+                with pytest.raises(mc.ValidationError,
+                                   match="associativity fails") as exc:
+                    cat._check_associativity()
+                named = tuple(exc.value.args[0].split(" chain ")[1]
+                              .replace("'", "").split(" -> "))
+                assert named in failures
+                # the source named is the first in vertex order that fails
+                sources = [c[0] for c in failures if c[1:] == named[1:]]
+                assert named[0] == min(sources, key=cat.vidx.get)
+                caught += 1
+            else:
+                cat._check_associativity()
+        finally:
+            t[idx] = old
+    return caught
+
+
 @pytest.mark.parametrize("n,p", [(2, 2), (3, 3)])
 def test_associativity_matches_chain_by_chain_on_corruptions(n, p):
-    """Batched check and the chain-by-chain reference agree on every
-    single-entry corruption of comp, and the error names a failing chain."""
+    """Every entry of every comp tensor, on type A."""
     cat = mc.build_type_a(n, PrimeField(p))
-    assert chain_by_chain_failures(cat) == []
-    caught = total = 0
-    for key in sorted(cat.comp):
-        t = cat.comp[key]
-        for idx in itertools.product(*map(range, t.shape)):
-            old = t[idx]
-            t[idx] = (old + 1) % p
-            try:
-                failures = chain_by_chain_failures(cat)
-                if failures:
-                    with pytest.raises(mc.ValidationError,
-                                       match="associativity fails") as exc:
-                        cat._check_associativity()
-                    named = tuple(exc.value.args[0].split(" chain ")[1]
-                                  .replace("'", "").split(" -> "))
-                    assert named in failures
-                    caught += 1
-                else:
-                    cat._check_associativity()
-            finally:
-                t[idx] = old
-            total += 1
-    assert total == sum(t.size for t in cat.comp.values())
-    assert 0 < caught < total
+    entries = [(key, idx) for key in sorted(cat.comp)
+               for idx in itertools.product(*map(range, cat.comp[key].shape))]
+    caught = assert_corruptions_agree(cat, entries)
+    assert 0 < caught < len(entries)
+
+
+def test_associativity_corruptions_in_padded_blocks(d4):
+    """Type A has every Hom space of dimension <= 1, so no block there is
+    padded.  On D4, corrupt a seeded 40 of the 120 entries of the comp
+    tensors with an axis of length 2 (the reference takes about 0.1 s an
+    entry); each of them breaks some chain."""
+    entries = [(key, idx) for key in sorted(d4.comp)
+               if 2 in d4.comp[key].shape
+               for idx in itertools.product(*map(range, d4.comp[key].shape))]
+    assert len(entries) == 120
+    entries = random.Random(0).sample(entries, 40)
+    assert assert_corruptions_agree(d4, entries) == len(entries)
 
 
 def _tensors_digest(tensors):
@@ -188,7 +213,8 @@ def build(kind, field):
 
 # sha256 prefixes of basis, comp and sigma_map, recorded from the
 # path-by-path level reduction and chain-by-chain associativity check (E6
-# and D6 from the full path enumeration, before dead prefixes were pruned)
+# at p = 2 and D6 from the full path enumeration, before dead prefixes were
+# pruned; E6 at p = 3 from the build that pruned dead prefixes only)
 BUILD_DIGESTS = {
     ("A4", 2): ("ed1b6f6489901564", "9df33635b5570866", "866355257c3f8080"),
     ("A4", 3): ("ed1b6f6489901564", "c31ea764926e0c7b", "45b5976e76e594ef"),
@@ -197,6 +223,7 @@ BUILD_DIGESTS = {
     ("D5", 3): ("a38bd832ceb95205", "6cd9d0fbdd01d106", "4e3fe2c77b634af4"),
     ("D6", 3): ("2c90054170d3fe7a", "a725b2b0c1762dfe", "4845348a7afeeec9"),
     ("E6", 2): ("f1044ace19ecd442", "c37a72038a240160", "e1d2b6aa9bc3c310"),
+    ("E6", 3): ("f1044ace19ecd442", "f04a0bd270b5e412", "cf17264079be596e"),
 }
 
 
@@ -276,8 +303,9 @@ ORACLE_CASES = ([(f"A{n}", p) for n in range(2, 7) for p in (2, 3)]
 
 @pytest.mark.parametrize("kind,p", ORACLE_CASES)
 def test_pruned_build_matches_full_enumeration(kind, p):
-    """Extending only surviving paths gives the categories of the full
-    enumeration, and every path it prunes is zero there."""
+    """Extending only the paths whose prefix and suffix survive gives the
+    categories of the full enumeration, and every path it prunes is zero
+    there."""
     cat = build(kind, PrimeField(p))
     ref = FullEnumCategory(cat.field, cat.quiver)
     assert cat.radical_length == ref.radical_length
@@ -289,22 +317,25 @@ def test_pruned_build_matches_full_enumeration(kind, p):
         for key in theirs:
             assert mine[key].dtype == theirs[key].dtype
             assert np.array_equal(mine[key], theirs[key]), (name, key)
-    pruned = 0
+    dead_prefix = dead_suffix = 0
     for (u, v), vecs in ref._red.items():
         for path, vec in vecs.items():
             assert np.array_equal(cat.reduce_path(u, v, path),
                                   ref.reduce_path(u, v, path)), (u, v, path)
-            dead_prefix = any(
-                not ref.reduce_path(u, cat.arrows[path[k - 1]][1],
-                                    path[:k]).any()
-                for k in range(1, len(path)))
-            if dead_prefix:
-                pruned += 1
+            # the vertex after the first k arrows of the path
+            mids = [cat.arrows[a][1] for a in path]
+            prefix = any(not ref.reduce_path(u, mids[k - 1], path[:k]).any()
+                         for k in range(1, len(path)))
+            suffix = any(not ref.reduce_path(mids[k - 1], v, path[k:]).any()
+                         for k in range(1, len(path)))
+            dead_prefix += prefix
+            dead_suffix += suffix
+            if prefix or suffix:
                 assert path not in cat._red[(u, v)]
                 assert not vec.any()
     # on the pentagon the build stops at the first dead level, before any
-    # path could have a dead prefix
-    assert pruned > 0 or kind == "A2"
+    # path could have a dead prefix or suffix
+    assert (dead_prefix > 0 and dead_suffix > 0) or kind == "A2"
 
 
 def test_dynkin_a2_matches_polygon(pentagon):
