@@ -7,25 +7,24 @@ the defining relations are the mesh relations, one per vertex x,
     sum over arrows a: y -> x of  (tau x -> y) . (y -> x)  =  0.
 
 Hom spaces are spans of paths modulo the ideal generated by these relations.
-The ideal is homogeneous in path length, so each Hom space is built level by
-level: at each length the mesh relations of that length form one matrix over
-the paths, which is brought to reduced row echelon form.  The non-pivot paths
-become basis classes, and each pivot path equals minus the non-pivot part of
-its row, so the coordinates of every path are read off in one slice.  Once a
-whole level dies, every longer level dies too (any longer path factors through
-a dead one), which gives the stopping rule and the radical length.
+The ideal is two-sided and homogeneous in path length, so Hom(u, -) is built
+by knitting, one source u at a time and level by level: level L + 1 of
+Hom(u, x) is the sum over the arrows a: y -> x of level L of Hom(u, y)
+followed by a, modulo the image of level L - 1 of Hom(u, tau x) under the
+mesh at x.  Each level and vertex takes one matrix, its columns the level-L
+basis classes into each y followed by a (in path order), its rows the mesh
+images of the level-(L - 1) classes into tau x, brought to reduced row
+echelon form.  The non-pivot columns become basis classes, and each pivot
+column equals minus the non-pivot part of its row, which gives right
+multiplication by every arrow as a matrix between levels.  Once a whole
+level dies, every longer level dies too, which gives the stopping rule and
+the radical length.
 
-Only the paths of a level whose coordinates are nonzero are extended to the
-next level, and a path is enumerated only when its suffix after the first
-arrow has nonzero coordinates as well.  A path with a dead prefix or a dead
-suffix lies in the two-sided ideal, so its column would be a pivot whose
-reduced row is its own unit vector; leaving it out changes no other row of
-the reduced form, so the basis, the coordinates and the stopping rule are
-those of the full enumeration.  The relations are taken with both factors r
-and q in r . mesh . q surviving (a relation with a dead factor is, modulo
-dead paths, a sum of relations whose factors survive), and their terms on
-paths never enumerated are dropped.  A path that was never enumerated
-reduces to zero.
+With leftmost pivots, the basis chosen is the set of paths that are not
+combinations of later paths in path order, the same set whichever relations
+generate the ideal; so it is the basis of the full path enumeration (kept in
+the tests as the oracle).  A path b . a whose prefix b is not a basis class
+is a combination of later paths, so only basis classes need extending.
 
 ``validate`` checks the mesh relations and associativity exhaustively.  The
 associativity equations of all source vertices are checked at once, with the
@@ -149,14 +148,8 @@ class MeshCategory:
         self.vidx = {v: i for i, v in enumerate(self.verts)}
         self.arrows = quiver.arrows
         self._arrow_by_pair = {(s, t): i for i, (s, t, _) in enumerate(self.arrows)}
-        self._out = {v: [] for v in self.verts}
-        self._in = {v: [] for v in self.verts}
-        for i, (s, t, _) in enumerate(self.arrows):
-            self._out[s].append(i)
-            self._in[t].append(i)
-        for v in self.verts:
-            self._out[v].sort(key=lambda i: (self.arrows[i][1], self.arrows[i][2]))
-            self._in[v].sort(key=lambda i: (self.arrows[i][0], self.arrows[i][2]))
+        self._in = {v: [i for i, (_, t, _) in enumerate(self.arrows) if t == v]
+                    for v in self.verts}
         # per vertex x: the middles (b, a) of its mesh relation
         self._mesh = {x: self._mesh_pairs(x) for x in self.verts}
         self._build_hom(max_len_cap)
@@ -178,135 +171,125 @@ class MeshCategory:
         return mids
 
     def _build_hom(self, cap: int) -> None:
+        """Hom(u, -) one source u at a time, level by level, by the mesh
+        cokernel recursion of the module docstring: one RREF per level and
+        vertex x, its columns the level-L classes b into y followed by each
+        arrow a: y -> x, its rows the sums over the mesh middles (b, a) of x
+        of (g . b) . a for the level-(L - 1) classes g into tau x.  The
+        coordinates of the columns are the level L -> L + 1 blocks of
+        ``_right[(u, a)]``, right multiplication by a on Hom(u, -)."""
         p = self.field.p
         V = self.verts
-        # alive[l][(u, v)] -> ordered list of the surviving paths of length l
-        alive: list[dict[tuple[str, str], list[Path]]] = []
         self.basis: dict[tuple[str, str], list[Path]] = {
             (u, v): [] for u in V for v in V
         }
-        # nonzero reduced coordinates of the surviving paths, over the final
-        # basis; every other path is zero in the category
-        self._red: dict[tuple[str, str], dict[Path, np.ndarray]] = {
-            (u, v): {} for u in V for v in V
+        blocks = []
+        self.radical_length = 0
+        for u in V:
+            self.basis[(u, u)].append(())
+            # the classes of the previous and the current level, as
+            # x -> (offset in basis[(u, x)], their paths in path order), and
+            # per arrow a: y -> x its block from the previous level to the
+            # current one (rows: classes of x, columns: classes of y)
+            prev, level, step = {}, {u: (0, [()])}, {}
+            length = 0
+            while level:
+                length += 1
+                if length > cap:
+                    raise ValidationError(
+                        f"hom spaces failed to stabilize within length {cap}"
+                    )
+                nxt, nstep = {}, {}
+                for x in V:
+                    ins = [a for a in self._in[x] if self.arrows[a][0] in level]
+                    if not ins:
+                        continue
+                    cands = sorted((q + (a,), a) for a in ins
+                                   for q in level[self.arrows[a][0]][1])
+                    # the columns of arrow a, in the order of the classes of y
+                    where = {a: [c for c, (_, b) in enumerate(cands) if b == a]
+                             for a in ins}
+                    red, pivots = np.zeros((0, len(cands)), dtype=np.int64), []
+                    tx = self.quiver.tau[x]
+                    if tx in prev:
+                        rows = np.zeros((len(prev[tx][1]), len(cands)),
+                                        dtype=np.int64)
+                        for b, a in self._mesh[x]:
+                            if a in where:
+                                rows[:, where[a]] = step[b].T
+                        red, pivots = array_rref(rows, p)
+                    # a free column is its own class; since red is in RREF,
+                    # pivot column i equals minus the free part of row i
+                    free = [c for c in range(len(cands)) if c not in pivots]
+                    coords = np.zeros((len(cands), len(free)), dtype=np.int64)
+                    coords[free, np.arange(len(free))] = 1
+                    coords[pivots] = -red[: len(pivots), free] % p
+                    off = len(self.basis[(u, x)])
+                    new = [cands[c][0] for c in free]
+                    self.basis[(u, x)].extend(new)
+                    if new:
+                        nxt[x] = (off, new)
+                    for a in ins:
+                        nstep[a] = coords[where[a]].T
+                        blocks.append((u, a, off, level[self.arrows[a][0]][0],
+                                       nstep[a]))
+                prev, level, step = level, nxt, nstep
+            self.radical_length = max(self.radical_length, length)
+        self.dims = np.array([[len(self.basis[(u, v)]) for v in V] for u in V],
+                             dtype=np.int64)
+        self._right = {
+            (u, a): np.zeros((self.hom_dim(u, t), self.hom_dim(u, s)),
+                             dtype=np.int64)
+            for u in V for a, (s, t, _) in enumerate(self.arrows)
         }
-        length = 0
-        while True:
-            if length > cap:
-                raise ValidationError(
-                    f"hom spaces failed to stabilize within length {cap}"
-                )
-            if length == 0:
-                lvl = {(v, v): [()] for v in V}
-            else:
-                lvl = {}
-                for (u, w), plist in alive[length - 1].items():
-                    for a in self._out[w]:
-                        tgt = self.arrows[a][1]
-                        # pp + (a,) is extended only when its suffix after
-                        # the first arrow survives too
-                        lvl.setdefault((u, tgt), []).extend(
-                            pp + (a,) for pp in plist
-                            if not pp or pp[1:] + (a,) in
-                            self._red[(self.arrows[pp[0]][1], tgt)]
-                        )
-                for key in lvl:
-                    lvl[key].sort()
-            alive.append({})
-            new_dim = 0
-            for (u, v), plist in sorted(lvl.items()):
-                new_dim += self._reduce_level(u, v, length, plist, alive, p)
-            if length >= 1 and new_dim == 0:
-                self.radical_length = length
-                break
-            length += 1
-        self.dims = np.zeros((len(V), len(V)), dtype=np.int64)
-        for (u, v), b in self.basis.items():
-            self.dims[self.vidx[u], self.vidx[v]] = len(b)
-
-    def _relation_rows(self, u: str, v: str, length: int, plist, alive, p: int):
-        """Mesh ideal elements of the given length from u to v, as the rows
-        of one matrix over the paths in plist (None when there are none).
-
-        Both factors r and q of a relation r . mesh_x . q are surviving
-        paths, and terms on paths outside plist are dropped: those paths
-        have a dead prefix or suffix, so they lie in the ideal and are zero."""
-        index = {pp: k for k, pp in enumerate(plist)}
-        row_idx, col_idx = [], []
-        n_rows = 0
-        for x, mids in self._mesh.items():
-            tx = self.quiver.tau[x]
-            for i in range(length - 1):
-                left = alive[i].get((u, tx))
-                right = alive[length - 2 - i].get((x, v))
-                if not left or not right:
-                    continue
-                for r in left:
-                    for q in right:
-                        row = [k for mid in mids
-                               if (k := index.get(r + mid + q)) is not None]
-                        if row:
-                            row_idx.extend([n_rows] * len(row))
-                            col_idx.extend(row)
-                            n_rows += 1
-        if not n_rows:
-            return None
-        rows = np.zeros((n_rows, len(plist)), dtype=np.int64)
-        np.add.at(rows, (row_idx, col_idx), 1)
-        return rows % p
-
-    def _reduce_level(self, u, v, length, plist, alive, p) -> int:
-        n = len(plist)
-        rows = self._relation_rows(u, v, length, plist, alive, p)
-        pivots = []
-        if rows is not None:
-            red, pivots = array_rref(rows, p)
-        pivot_set = set(pivots)
-        free = [k for k in range(n) if k not in pivot_set]
-        offset = len(self.basis[(u, v)])
-        self.basis[(u, v)].extend(plist[k] for k in free)
-        # coordinates of each level path over the surviving classes: a free
-        # path is its own class; since red is in RREF, pivot path c_i equals
-        # minus the free part of row i
-        coords = np.zeros((n, offset + len(free)), dtype=np.int64)
-        coords[free, offset + np.arange(len(free))] = 1
-        if pivots:
-            coords[pivots, offset:] = -red[: len(pivots), free] % p
-        # only paths with nonzero coordinates are extended to the next level
-        live = np.flatnonzero(coords.any(axis=1))
-        if live.size:
-            alive[length][(u, v)] = [plist[k] for k in live]
-            self._red[(u, v)].update((plist[k], coords[k]) for k in live)
-        return len(free)
+        for u, a, r0, c0, blk in blocks:
+            self._right[(u, a)][r0:r0 + blk.shape[0], c0:c0 + blk.shape[1]] = blk
 
     def reduce_path(self, u: str, v: str, path: Path) -> np.ndarray:
-        """Coordinates of a path over the Hom(u, v) basis (zero if it died)."""
-        d = len(self.basis[(u, v)])
-        vec = self._red[(u, v)].get(path)
-        if vec is None:
-            return np.zeros(d, dtype=np.int64)
-        if len(vec) < d:
-            out = np.zeros(d, dtype=np.int64)
-            out[: len(vec)] = vec
-            return out
+        """Coordinates of a path over the Hom(u, v) basis: the product of
+        the arrow matrices along it.  Raises ValueError when the arrows do
+        not compose to a path from u to v."""
+        vec = np.zeros(len(self.basis[(u, u)]), dtype=np.int64)
+        vec[0] = 1
+        at = u
+        for a in path:
+            if not 0 <= a < len(self.arrows) or self.arrows[a][0] != at:
+                raise ValueError(f"arrow {a!r} does not continue a path at {at!r}")
+            at = self.arrows[a][1]
+            vec = self._right[(u, a)] @ vec % self.field.p
+        if at != v:
+            raise ValueError(f"path from {u!r} ends at {at!r}, not {v!r}")
         return vec
 
     def _build_comp(self) -> None:
+        """comp[(u, v, w)][j] is right multiplication by basis_j(v, w) on
+        Hom(u, v).  A basis path is a basis path one arrow shorter followed
+        by an arrow, so each slice is the arrow matrix times its prefix's."""
         p = self.field.p
+        V = self.verts
+        index = {(v, w): {pp: j for j, pp in enumerate(b)}
+                 for (v, w), b in self.basis.items()}
+        # basis paths out of each v, shortest first, so each prefix comes first
+        out = {v: sorted((len(q), w, j, q) for w in V
+                         for j, q in enumerate(self.basis[(v, w)]))
+               for v in V}
         self.comp: dict[tuple[str, str, str], np.ndarray] = {}
-        for (u, v), b1 in self.basis.items():
-            if not b1:
-                continue
-            for w in self.verts:
-                b2 = self.basis[(v, w)]
-                if not b2:
+        for u in V:
+            for v in V:
+                d = self.hom_dim(u, v)
+                if not d:
                     continue
-                duw = len(self.basis[(u, w)])
-                tensor = np.zeros((len(b2), len(b1), duw), dtype=np.int64)
-                for j, q in enumerate(b2):
-                    for i, pp in enumerate(b1):
-                        tensor[j, i] = self.reduce_path(u, w, pp + q)
-                self.comp[(u, v, w)] = tensor % p
+                ts = {w: np.empty((len(self.basis[(v, w)]), d,
+                                   len(self.basis[(u, w)])), dtype=np.int64)
+                      for w in V if self.basis[(v, w)]}
+                for _, w, j, q in out[v]:
+                    if q:
+                        y = self.arrows[q[-1]][0]
+                        prefix = ts[y][index[(v, y)][q[:-1]]]
+                        ts[w][j] = prefix @ self._right[(u, q[-1])].T % p
+                    else:
+                        ts[w][j] = np.eye(d, dtype=np.int64)
+                self.comp.update(((u, v, w), t) for w, t in ts.items())
 
     def _build_sigma(self) -> None:
         sg = self.quiver.sigma

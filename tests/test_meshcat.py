@@ -227,22 +227,35 @@ BUILD_DIGESTS = {
 }
 
 
+def assert_serre_duality(cat):
+    """dim Hom(x, y) = dim Hom(y, sigma^2 x): the cluster category is
+    2-Calabi-Yau, an identity of the dims alone that the build never uses."""
+    s2 = [cat.vidx[cat.sigma_vertex(cat.sigma_vertex(x))] for x in cat.verts]
+    assert np.array_equal(cat.dims, cat.dims[:, s2].T)
+
+
 @pytest.mark.parametrize("kind,p", sorted(BUILD_DIGESTS))
 def test_build_is_byte_identical(kind, p):
     cat = build(kind, PrimeField(p))
     cat.validate()
     assert (_basis_digest(cat.basis), _tensors_digest(cat.comp),
             _tensors_digest(cat.sigma_map)) == BUILD_DIGESTS[(kind, p)]
+    assert_serre_duality(cat)
 
 
 class FullEnumCategory(mc.MeshCategory):
     """Reference Hom build: every path of every length is enumerated and
-    reduced, paths with a dead prefix included, against every mesh relation
-    r . mesh_x . q with r and q arbitrary paths."""
+    reduced, paths with a dead prefix or suffix included, against every
+    mesh relation r . mesh_x . q with r and q arbitrary paths.  Paths are
+    looked up in the table of reduced coordinates ``_red``, and each
+    composite basis path is reduced on its own, so nothing is shared with
+    the build's arrow matrices."""
 
     def _build_hom(self, cap):
         p = self.field.p
         V = self.verts
+        out = {v: [a for a, arrow in enumerate(self.arrows) if arrow[0] == v]
+               for v in V}
         paths = []
         self.basis = {(u, v): [] for u in V for v in V}
         self._red = {(u, v): {} for u in V for v in V}
@@ -254,7 +267,7 @@ class FullEnumCategory(mc.MeshCategory):
             else:
                 lvl = {}
                 for (u, w), plist in paths[length - 1].items():
-                    for a in self._out[w]:
+                    for a in out[w]:
                         lvl.setdefault((u, self.arrows[a][1]), []).extend(
                             pp + (a,) for pp in plist)
                 for key in lvl:
@@ -295,6 +308,24 @@ class FullEnumCategory(mc.MeshCategory):
             self._red[(u, v)][pp] = vec
         return len(free)
 
+    def reduce_path(self, u, v, path):
+        # paths longer than the radical length are never enumerated: zero
+        vec = np.zeros(len(self.basis[(u, v)]), dtype=np.int64)
+        known = self._red[(u, v)].get(path, ())
+        vec[: len(known)] = known
+        return vec
+
+    def _build_comp(self):
+        p = self.field.p
+        self.comp = {}
+        for (u, v), b1 in self.basis.items():
+            for w in self.verts:
+                b2 = self.basis[(v, w)]
+                if b1 and b2:
+                    self.comp[(u, v, w)] = np.array(
+                        [[self.reduce_path(u, w, pp + q) for pp in b1]
+                         for q in b2], dtype=np.int64) % p
+
 
 ORACLE_CASES = ([(f"A{n}", p) for n in range(2, 7) for p in (2, 3)]
                 + [(kind, p) for kind in ("D4", "D5") for p in (2, 3)]
@@ -303,9 +334,9 @@ ORACLE_CASES = ([(f"A{n}", p) for n in range(2, 7) for p in (2, 3)]
 
 @pytest.mark.parametrize("kind,p", ORACLE_CASES)
 def test_pruned_build_matches_full_enumeration(kind, p):
-    """Extending only the paths whose prefix and suffix survive gives the
-    categories of the full enumeration, and every path it prunes is zero
-    there."""
+    """The cokernel recursion gives the categories of the full enumeration,
+    and reduces every path as the enumeration does; a path with a dead
+    prefix or suffix is zero there."""
     cat = build(kind, PrimeField(p))
     ref = FullEnumCategory(cat.field, cat.quiver)
     assert cat.radical_length == ref.radical_length
@@ -331,11 +362,39 @@ def test_pruned_build_matches_full_enumeration(kind, p):
             dead_prefix += prefix
             dead_suffix += suffix
             if prefix or suffix:
-                assert path not in cat._red[(u, v)]
                 assert not vec.any()
     # on the pentagon the build stops at the first dead level, before any
     # path could have a dead prefix or suffix
     assert (dead_prefix > 0 and dead_suffix > 0) or kind == "A2"
+
+
+def test_e7_builds_and_validates():
+    """build_dynkin validates (End spaces, mesh relations, associativity)."""
+    e7 = mc.make_dynkin([str(i) for i in range(7)],
+                        [("1", "0"), ("2", "1"), ("3", "2"), ("4", "3"),
+                         ("5", "4"), ("6", "2")])
+    assert e7.dynkin_type == "E7"
+    cat = mc.build_dynkin(e7, F2)
+    # 63 indecomposable modules plus one suspended projective per vertex
+    assert len(cat.verts) == 70
+    assert_serre_duality(cat)
+
+
+def test_reduce_path_rejects_paths_that_do_not_compose(pentagon):
+    arrow = {(s, t): a for a, (s, t, _) in enumerate(pentagon.arrows)}
+    a, b = arrow[("13", "14")], arrow[("14", "24")]
+    assert np.array_equal(pentagon.reduce_path("13", "14", (a,)), [1])
+    assert not pentagon.reduce_path("13", "24", (a, b)).any()
+    for u, v, path in [("13", "24", (b,)),          # starts at 14
+                       ("13", "24", (a,)),          # ends at 14
+                       ("13", "13", (a,)),
+                       ("13", "25", (a, arrow[("24", "25")])),  # gap
+                       ("14", "24", (b, b)),        # gap
+                       ("13", "14", (len(pentagon.arrows),)),  # no arrow
+                       ("13", "14", (-1,)),
+                       ("13", "14", ())]:           # ends at 13
+        with pytest.raises(ValueError):
+            pentagon.reduce_path(u, v, path)
 
 
 def test_dynkin_a2_matches_polygon(pentagon):
