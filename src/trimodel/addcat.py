@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactlin import array_inverse, array_rank, array_solve
+from .exactlin import array_inverse, array_solve, fast_rank
 from .meshcat import MeshCategory
 
 
@@ -397,7 +397,7 @@ def is_iso(f: Mor) -> bool:
         cols = [j for j, w in enumerate(f.dom.summands) if w == v]
         m = np.array([[int(f.block(i, j)[0]) for j in cols] for i in rows],
                      dtype=np.int64)
-        if array_rank(m, p) != len(rows):
+        if fast_rank(m, p) != len(rows):
             return False
     return True
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import addcat as ac
 from . import oracle
 from .addcat import Mor, Obj
-from .exactlin import PrimeField
+from .exactlin import PrimeField, array_kernel, fast_rank
 from .meshcat import MeshCategory, build_dynkin, dynkin_d4_subspace
 from .report import Report
 from .rigidmodel import RigidStructure, build_rigid
@@ -261,8 +261,7 @@ def report(binding: ScenarioBinding) -> Report:
     # scalar decomposition of the top edge: x = lambda ba + mu dc with the
     # square against y = g b commuting exactly when lambda = 1
     span = np.stack([ac.mor_to_vec(ba), ac.mor_to_vec(dc)], axis=1)
-    from .exactlin import array_rank
-    rep.add("ba-dc-basis", array_rank(span, p) == 2,
+    rep.add("ba-dc-basis", fast_rank(span, p) == 2,
             "ba, dc span the two-dimensional Hom(A, D)")
     y = ac.compose(mo["g"], mo["b"])
     forced = []
@@ -278,7 +277,6 @@ def report(binding: ScenarioBinding) -> Report:
             "pairs)", forced[:3] or None)
 
     # unique lift: Hom(-, g) restricted to T is injective, so alpha = b
-    from .exactlin import array_kernel
     m = ac.left_mul_matrix(mo["g"], Obj((nm["Tpp"],)))
     ker = array_kernel(m, p)
     rep.add("lift-unique-alpha-is-b", not ker and not ac.compose(

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import addcat as ac
 from .addcat import Mor, Obj
-from .exactlin import array_kernel, array_rank, batch_rank
+from .exactlin import array_kernel, batch_rank, fast_rank
 from .report import Report
 from .rigidmodel import RigidStructure
 
@@ -191,7 +191,7 @@ def _pair_data(rigid: RigidStructure, alg: AlgebraPres, mods: dict,
     mh = module_hom_dim(rigid, mods[u], mods[v], alg)
     if d_hom:
         img = induced_tensor(rigid, uo, vo).reshape(d_hom, -1).T % p
-        img_rank = array_rank(img, p)
+        img_rank = fast_rank(img, p)
         ideal_cols = rigid.ideal_span_matrix("sigmaT", uo, vo)
         ideal_zero = not np.any((img @ ideal_cols) % p)
     else:
@@ -254,9 +254,9 @@ def check_equivalence(rigid: RigidStructure, pair_total: int = 2,
         img_rank = 0
         if d_hom:
             img = induced_tensor(rigid, x, y).reshape(d_hom, -1).T % p
-            img_rank = array_rank(img, p)
+            img_rank = fast_rank(img, p)
         ideal_cols = rigid.ideal_span_matrix("sigmaT", x, y)
-        ideal_dim = array_rank(ideal_cols, p) if ideal_cols.size else 0
+        ideal_dim = fast_rank(ideal_cols, p)
         mh = module_hom_dim(rigid, module_of(rigid, x, alg),
                             module_of(rigid, y, alg), alg)
         if img_rank != mh or d_hom - ideal_dim != mh:

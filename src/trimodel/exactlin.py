@@ -6,12 +6,11 @@ entries kept reduced to [0, p); arithmetic is exact, so every downstream
 equality is an honest equality (no tolerances anywhere).
 
 Every function takes plain arrays and the characteristic: ``array_rref``
-and what is built on it (rank, solve, kernel, inverse),
-``fast_rank`` for single small matrices in hot loops, and ``batch_rank``,
-which takes the ranks of a whole (n, r, c) stack of matrices at once, for
-searches and suites that test many morphisms together; it eliminates in
-int16, which is exact because p <= ``MAX_CHAR`` keeps every product in a row
-update below 2^15.
+and what is built on it (solve, kernel, inverse); ``fast_rank``, the one
+rank of a single matrix; and ``batch_rank``, which takes the ranks of a
+whole (n, r, c) stack of matrices at once, for searches and suites that
+test many morphisms together; it eliminates in int16, which is exact
+because p <= ``MAX_CHAR`` keeps every product in a row update below 2^15.
 """
 
 from __future__ import annotations
@@ -89,10 +88,6 @@ def array_rref(a, p: int) -> tuple[np.ndarray, list[int]]:
     return m, pivots
 
 
-def array_rank(a, p: int) -> int:
-    return len(array_rref(a, p)[1])
-
-
 def array_solve(a, b, p: int):
     """One solution of A x = b over F_p, or None if inconsistent.
 
@@ -154,11 +149,11 @@ BATCH_CELLS = 1 << 16
 
 
 def fast_rank(a, p: int) -> int:
-    """Rank of a small matrix, tuned for the hot loops of the oracle suites.
+    """Rank of a matrix, tuned for the small ones of the oracle suites.
 
     For p = 2 rows are packed into Python ints and eliminated by xor; for odd
     p a plain list-based elimination avoids numpy call overhead.  Agrees with
-    array_rank everywhere (property-tested).
+    the pivot count of ``array_rref`` everywhere (property-tested).
     """
     m = np.asarray(a, dtype=np.int64)
     if m.ndim != 2:

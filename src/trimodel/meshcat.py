@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactlin import PrimeField, array_rank, array_rref
+from .exactlin import PrimeField, array_rref, fast_rank
 
 Path = tuple[int, ...]
 
@@ -310,7 +310,7 @@ class MeshCategory:
                 for pp in b
             ]
             m = np.stack(cols, axis=1) % p
-            if array_rank(m, p) != len(b):
+            if fast_rank(m, p) != len(b):
                 raise ValidationError(
                     f"sigma does not act bijectively on Hom({u!r}, {v!r})"
                 )

@@ -260,21 +260,31 @@ class RigidStructure:
             return ac.block_mor(cat, [x], ends, [maps])
         return ac.block_mor(cat, ends, [x], [[m] for m in maps])
 
-    def is_approximation(self, f: Mor, side: str, key) -> bool:
+    def _approx_matrices(self, f: Mor, side: str, key):
+        """Yield (m, group) for each u in the subcategory: m is Hom(u, f)
+        (right side) or Hom(f, u) (left side), and group[c] the summand of
+        the approximating object that column c of m belongs to.  f is an
+        approximation iff every m has full row rank."""
         cat = self.cat
-        if side == "right":
-            x = f.cod
-            return all(
-                fast_rank(ac.left_mul_matrix(f, Obj((u,))), cat.field.p)
-                == ac.hom_space_dim(cat, Obj((u,)), x)
-                for u in self.subcat(key)
-            )
-        x = f.dom
-        return all(
-            fast_rank(ac.right_mul_matrix(f, Obj((u,))), cat.field.p)
-            == ac.hom_space_dim(cat, x, Obj((u,)))
-            for u in self.subcat(key)
-        )
+        right = side == "right"
+        a = f.dom if right else f.cod
+        for u in self.subcat(key):
+            uo = Obj((u,))
+            if right:
+                m = ac.left_mul_matrix(f, uo)
+                layout = ac.hom_layout(cat, uo, a)[0]
+            else:
+                m = ac.right_mul_matrix(f, uo)
+                layout = ac.hom_layout(cat, a, uo)[0]
+            group = np.empty(m.shape[1], dtype=np.int64)
+            for ij, off, d in layout:
+                group[off:off + d] = ij[0] if right else ij[1]
+            yield m, group
+
+    def is_approximation(self, f: Mor, side: str, key) -> bool:
+        p = self.cat.field.p
+        return all(fast_rank(m, p) == m.shape[0]
+                   for m, _ in self._approx_matrices(f, side, key))
 
     def approx(self, x: Obj, side: str, key) -> Mor:
         """Minimal left/right approximation of x by the subcategory.
@@ -308,19 +318,7 @@ class RigidStructure:
         p = cat.field.p
         right = side == "right"
         a = f.dom if right else f.cod
-        checks = []
-        for u in self.subcat(key):
-            uo = Obj((u,))
-            if right:
-                m = ac.left_mul_matrix(f, uo)
-                layout = ac.hom_layout(cat, uo, a)[0]
-            else:
-                m = ac.right_mul_matrix(f, uo)
-                layout = ac.hom_layout(cat, a, uo)[0]
-            group = np.empty(m.shape[1], dtype=np.int64)
-            for ij, off, d in layout:
-                group[off:off + d] = ij[0] if right else ij[1]
-            checks.append((m, group))
+        checks = list(self._approx_matrices(f, side, key))
         keep = np.ones(len(a), dtype=bool)
         for k in range(len(a)):
             keep[k] = False

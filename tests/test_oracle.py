@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from trimodel import addcat as ac
+from trimodel import exactlin as el
 from trimodel import meshcat as mc
 from trimodel import oracle
 from trimodel import rigidmodel as rm
@@ -61,27 +62,100 @@ def test_both_homotopy_modes_share_one_square_space(cat, rigid,
                                                     monkeypatch):
     rng = np.random.default_rng(4)
     pool = oracle.objects_up_to(cat, 2)
-    square_space = oracle._square_space
+    lifting_maps = oracle._lifting_maps
     calls = []
-    monkeypatch.setattr(oracle, "_square_space", lambda *a: (
-        calls.append(1) or square_space(*a)))
+    monkeypatch.setattr(oracle, "_lifting_maps", lambda *a: (
+        calls.append(1) or lifting_maps(*a)))
+
+    def built_once(fn, *args):
+        calls.clear()
+        out = fn(*args)
+        assert len(calls) == 1
+        return out
+
     for _ in range(60):
         ell, r = (ac.random_morphism_rng(
             cat, pool[int(rng.integers(0, len(pool)))],
             pool[int(rng.integers(0, len(pool)))], rng) for _ in range(2))
-        calls.clear()
-        both = oracle._rlp_up_to_homotopy(rigid, ell, r,
-                                          ("htp_top", "htp_bottom"))
-        assert len(calls) == 1
-        assert both == (oracle.rlp_all_squares(rigid, ell, r, "htp_top")
-                        and oracle.rlp_all_squares(rigid, ell, r,
-                                                   "htp_bottom"))
-        calls.clear()
-        rep = oracle.lifting_report(rigid, ell, r)
-        assert len(calls) == 1
+        each = {mode: built_once(oracle.rlp_all_squares, rigid, ell, r, mode)
+                for mode in oracle.MODES}
+        both = built_once(oracle._rlp_up_to_homotopy, rigid, ell, r,
+                          ("htp_top", "htp_bottom"))
+        assert both == (each["htp_top"] and each["htp_bottom"])
+        rep = built_once(oracle.lifting_report, rigid, ell, r)
         assert (rep.plain, rep.htp_top, rep.htp_bottom) == tuple(
-            oracle.rlp_all_squares(rigid, ell, r, mode)
-            for mode in ("plain", "htp_top", "htp_bottom"))
+            each[mode] for mode in oracle.MODES)
+
+
+def test_unknown_mode_raises_before_any_rank(cat, rigid, monkeypatch):
+    monkeypatch.setattr(oracle, "fast_rank", None)
+    zero = ac.zero_mor(cat, ac.obj(), ac.obj())
+    ell = ac.identity(cat, ac.obj("13", "14"))
+    for e in (zero, ell):
+        with pytest.raises(ValueError, match="htp_tpo"):
+            oracle.rlp_all_squares(rigid, e, e, "htp_tpo")
+        with pytest.raises(ValueError, match="htp_tpo"):
+            oracle._rlp_up_to_homotopy(rigid, e, e, ("htp_top", "htp_tpo"))
+
+
+def kernel_lifts(rigid, ell, r, mode: str) -> bool:
+    """The lifting decision through an explicit square space: a basis of
+    the kernel of the square map must lie in the span of the lift
+    candidates (the lift map beside, in a homotopy mode, the perp ideal of
+    the relaxed edge)."""
+    cat = rigid.cat
+    p = cat.field.p
+    a_obj, b_obj = ell.dom, ell.cod
+    lam = np.concatenate([ac.left_mul_matrix(r, a_obj),
+                          -ac.right_mul_matrix(ell, r.cod)], axis=1) % p
+    squares = el.array_kernel(lam, p)
+    if not squares:
+        return True
+    cand = np.concatenate([ac.right_mul_matrix(ell, r.dom),
+                           ac.left_mul_matrix(r, b_obj)], axis=0)
+    d_top = ac.hom_space_dim(cat, a_obj, r.dom)
+    d_bot = ac.hom_space_dim(cat, b_obj, r.cod)
+    if mode == "htp_top":
+        w = rigid.ideal_span_matrix("perp", a_obj, r.dom)
+        cand = np.concatenate([cand, np.concatenate(
+            [w, np.zeros((d_bot, w.shape[1]), dtype=np.int64)])], axis=1)
+    elif mode == "htp_bottom":
+        w = rigid.ideal_span_matrix("perp", b_obj, r.cod)
+        cand = np.concatenate([cand, np.concatenate(
+            [np.zeros((d_top, w.shape[1]), dtype=np.int64), w])], axis=1)
+
+    def rank(m):
+        return len(el.array_rref(m, p)[1])
+    return rank(np.concatenate([cand, np.stack(squares, axis=1)], axis=1)) \
+        == rank(cand)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("kind", ["A2", "A3", "D4"])
+def test_rank_identity_matches_kernel_oracle(kind, p):
+    field = PrimeField(p)
+    if kind == "D4":
+        cat_k = mc.build_dynkin(mc.dynkin_d4_subspace(), field)
+    else:
+        cat_k = mc.build_type_a(int(kind[1]), field)
+    rng = np.random.default_rng(p)
+    subsets = rm.all_rigid_subsets(cat_k)
+    pool = oracle.objects_up_to(cat_k, 2)
+    seen = {mode: set() for mode in oracle.MODES}
+    for k in rng.choice(len(subsets), size=min(4, len(subsets)),
+                        replace=False):
+        rigid_k = rm.build_rigid(cat_k, subsets[k])
+        for _ in range(40):
+            ell, r = (ac.random_morphism_rng(
+                cat_k, pool[int(rng.integers(0, len(pool)))],
+                pool[int(rng.integers(0, len(pool)))], rng)
+                for _ in range(2))
+            rep = oracle.lifting_report(rigid_k, ell, r)
+            for mode in oracle.MODES:
+                want = kernel_lifts(rigid_k, ell, r, mode)
+                assert getattr(rep, mode) == want, (subsets[k], mode)
+                seen[mode].add(want)
+    assert all(s == {True, False} for s in seen.values()), seen
 
 
 def test_rlp_monotone_under_direct_sum(cat, rigid):
