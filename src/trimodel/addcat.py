@@ -113,10 +113,6 @@ class Mor:
                 f"{{{', '.join(f'{k}:{v.tolist()}' for k, v in sorted(self.blocks.items()))}}})")
 
 
-def zero_mor(cat: MeshCategory, dom: Obj, cod: Obj) -> Mor:
-    return Mor(cat, dom, cod)
-
-
 def identity(cat: MeshCategory, x: Obj) -> Mor:
     f = Mor(cat, x, x)
     for i, v in enumerate(x.summands):
@@ -513,12 +509,6 @@ def coeff_chunks(p: int, d: int, cap_exp: int, draws: int, rng,
         stop = min(start + chunk, total)
         yield rows(start, stop), sampled
         start, chunk = stop, min(4 * chunk, 1024)
-
-
-def random_morphism(cat: MeshCategory, x: Obj, y: Obj, seed: int) -> Mor:
-    total = hom_space_dim(cat, x, y)
-    rng = np.random.default_rng(seed)
-    return vec_to_mor(cat, x, y, rng.integers(0, cat.field.p, size=total))
 
 
 def random_morphism_rng(cat: MeshCategory, x: Obj, y: Obj, rng) -> Mor:

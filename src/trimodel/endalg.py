@@ -1,15 +1,18 @@
-"""The endomorphism algebra of the rigid generator and its modules.
+"""The endomorphism algebra of the rigid object T and its modules.
 
-The algebra is presented on the union of the Hom bases between T vertices,
-with the opposite-composition product (a . b is the composite "a then b" in
-the category).  Each object X yields a module on the direct sum of the
-spaces Hom(t, X), t in T, acting by precomposition.  Both the action and
-the functor sending a morphism to the induced intertwiner are read off the
-Hom-functor tensors of ``addcat`` (``right_mul_tensor`` and
-``left_mul_tensor``) over a whole Hom space at once, and the equivalence
-checks compare stable Hom dimensions (Hom modulo morphisms factoring
-through the suspension of T) with intertwiner dimensions, plus bijectivity
-of the induced map, exactly.
+T is the direct sum of the rigid vertices.  End(T) is presented on the
+``hom_layout(T, T)`` basis with the opposite-composition product (a . b is
+the composite "a then b" in the category), and each object X yields the
+module Hom(T, X), in ``hom_layout(T, X)`` coordinates, on which End(T) acts
+by precomposition.  The structure constants and the action are the
+``right_mul_tensor`` of Hom(T, T) into T and into X, and the functor sending
+a morphism X -> Y to the induced intertwiner is the ``left_mul_tensor`` of
+Hom(T, -) on Hom(X, Y), each over a whole Hom space at once.  Permuted,
+these are block diagonal over the vertices of T (the argument is in
+``RigidStructure.classify``), so every dimension and rank is the one a
+vertex-by-vertex presentation gives.  The equivalence checks compare stable
+Hom dimensions (Hom modulo morphisms factoring through the suspension of T)
+with intertwiner dimensions, plus bijectivity of the induced map, exactly.
 """
 
 from __future__ import annotations
@@ -47,103 +50,61 @@ class ModuleRep:
 
     dim: int
     action: np.ndarray           # (algebra dim, dim, dim)
-    section_offsets: dict[str, int]
 
 
 def end_algebra(rigid: RigidStructure) -> AlgebraPres:
+    """End(T): the product basis_i . basis_j, the composite basis_j
+    basis_i, is column j of Hom(basis_i, T), the i-th slice of
+    ``right_mul_tensor(T, T, T)``."""
     cat = rigid.cat
-    p = cat.field.p
-    labels, sources, targets, index = [], [], [], {}
-    for a in rigid.t_ind:
-        for b in rigid.t_ind:
-            for k in range(cat.hom_dim(a, b)):
-                index[(a, b, k)] = len(labels)
-                labels.append(f"{a}->{b}[{k}]")
-                sources.append(a)
-                targets.append(b)
-    dim = len(labels)
-    structure = np.zeros((dim, dim, dim), dtype=np.int64)
-    for (a, b, k), i in index.items():
-        for (c, d, m), j in index.items():
-            if b != c:
-                continue
-            coeffs = cat.compose_basis((a, b, k), (c, d, m))
-            for k2, val in enumerate(coeffs):
-                if val:
-                    structure[i, j, index[(a, d, k2)]] = val % p
-    unit = np.zeros(dim, dtype=np.int64)
-    for t in rigid.t_ind:
-        unit[index[(t, t, 0)]] = 1
-    return AlgebraPres(dim, labels, sources, targets, structure, unit)
+    t = Obj(rigid.t_ind)
+    layout, dim = ac.hom_layout(cat, t, t)
+    labels, sources, targets = [], [], []
+    for (i, j), _, d in layout:
+        a, b = rigid.t_ind[j], rigid.t_ind[i]
+        labels.extend(f"{a}->{b}[{k}]" for k in range(d))
+        sources.extend([a] * d)
+        targets.extend([b] * d)
+    structure = ac.right_mul_tensor(cat, t, t, t).transpose(0, 2, 1) \
+        % cat.field.p
+    return AlgebraPres(dim, labels, sources, targets, structure,
+                       ac.mor_to_vec(ac.identity(cat, t)))
 
 
-def module_layout(rigid: RigidStructure, x: Obj):
-    """Section offsets of the carrier: Hom(t, x) blocks in T order."""
+def module_of(rigid: RigidStructure, x: Obj) -> ModuleRep:
+    """The module Hom(T, x): basis element e of End(T) acts as
+    precomposition Hom(e, x), a slice of ``right_mul_tensor(T, T, x)``."""
     cat = rigid.cat
-    offsets, off = {}, 0
-    for t in rigid.t_ind:
-        offsets[t] = off
-        off += ac.hom_space_dim(cat, Obj((t,)), x)
-    return offsets, off
+    t = Obj(rigid.t_ind)
+    action = ac.right_mul_tensor(cat, t, t, x) % cat.field.p
+    return ModuleRep(action.shape[1], action)
 
 
-def module_of(rigid: RigidStructure, x: Obj,
-              alg: AlgebraPres | None = None) -> ModuleRep:
-    """The module Hom(T, x): basis element a -> b of the algebra acts as
-    precomposition Hom(b, x) -> Hom(a, x), a slice of the
-    ``right_mul_tensor`` of Hom(a, b) into x."""
-    cat = rigid.cat
-    if alg is None:
-        alg = end_algebra(rigid)
-    offsets, total = module_layout(rigid, x)
-    action = np.zeros((alg.dim, total, total), dtype=np.int64)
-    i = 0
-    # the algebra basis runs over Hom(a, b) for a, b in T, in that order
-    for a in rigid.t_ind:
-        for b in rigid.t_ind:
-            r = ac.right_mul_tensor(cat, Obj((a,)), Obj((b,)), x)
-            action[i:i + len(r), offsets[a]:offsets[a] + r.shape[1],
-                   offsets[b]:offsets[b] + r.shape[2]] = r % cat.field.p
-            i += len(r)
-    return ModuleRep(total, action, offsets)
-
-
-def intertwiner_space(alg: AlgebraPres, m: ModuleRep, n: ModuleRep,
+def intertwiner_space(m: ModuleRep, n: ModuleRep,
                       p: int) -> list[np.ndarray]:
     """Basis of the maps m -> n commuting with every basis action."""
     if m.dim == 0 or n.dim == 0:
         return []
-    rows = []
     eye_m = np.eye(m.dim, dtype=np.int64)
     eye_n = np.eye(n.dim, dtype=np.int64)
-    for i in range(alg.dim):
-        rows.append(np.kron(m.action[i].T, eye_n)
-                    - np.kron(eye_m, n.action[i]))
-    big = np.concatenate(rows, axis=0) % p
+    big = np.concatenate([np.kron(am.T, eye_n) - np.kron(eye_m, an)
+                          for am, an in zip(m.action, n.action)]) % p
     return array_kernel(big, p)
 
 
-def module_hom_dim(rigid: RigidStructure, m: ModuleRep, n: ModuleRep,
-                   alg: AlgebraPres | None = None) -> int:
-    if alg is None:
-        alg = end_algebra(rigid)
-    if m.dim == 0 or n.dim == 0:
-        return 0
-    return len(intertwiner_space(alg, m, n, rigid.cat.field.p))
+def module_hom_dim(rigid: RigidStructure, m: ModuleRep, n: ModuleRep) -> int:
+    return len(intertwiner_space(m, n, rigid.cat.field.p))
 
 
-def find_module_iso(rigid: RigidStructure, m: ModuleRep, n: ModuleRep,
-                    alg: AlgebraPres | None = None):
+def find_module_iso(rigid: RigidStructure, m: ModuleRep, n: ModuleRep):
     """The first invertible intertwiner m -> n, or None, among the
     combinations of an intertwiner basis that ``coeff_chunks`` takes."""
     p = rigid.cat.field.p
-    if alg is None:
-        alg = end_algebra(rigid)
     if m.dim != n.dim:
         return None
     if m.dim == 0:
         return np.zeros((0, 0), dtype=np.int64)
-    basis = intertwiner_space(alg, m, n, p)
+    basis = intertwiner_space(m, n, p)
     if not basis:
         return None
     for rows, _ in ac.coeff_chunks(p, len(basis), 16,
@@ -158,18 +119,8 @@ def find_module_iso(rigid: RigidStructure, m: ModuleRep, n: ModuleRep,
 
 def induced_tensor(rigid: RigidStructure, x: Obj, y: Obj) -> np.ndarray:
     """Hom(T, -) on Hom(x, y) as a tensor: slice c is the intertwiner
-    Hom(T, x) -> Hom(T, y) of the c-th elementary morphism, assembled from
-    the ``left_mul_tensor`` of each t in T."""
-    cat = rigid.cat
-    src_off, src_dim = module_layout(rigid, x)
-    dst_off, dst_dim = module_layout(rigid, y)
-    out = np.zeros((ac.hom_space_dim(cat, x, y), dst_dim, src_dim),
-                   dtype=np.int64)
-    for t in rigid.t_ind:
-        lt = ac.left_mul_tensor(cat, Obj((t,)), x, y)
-        out[:, dst_off[t]:dst_off[t] + lt.shape[1],
-            src_off[t]:src_off[t] + lt.shape[2]] = lt
-    return out
+    Hom(T, x) -> Hom(T, y) of the c-th elementary morphism."""
+    return ac.left_mul_tensor(rigid.cat, Obj(rigid.t_ind), x, y)
 
 
 def induced_map_matrix(rigid: RigidStructure, f: Mor) -> np.ndarray:
@@ -178,8 +129,7 @@ def induced_map_matrix(rigid: RigidStructure, f: Mor) -> np.ndarray:
                            ac.mor_to_vec(f)[None], rigid.cat.field.p)[0]
 
 
-def _pair_data(rigid: RigidStructure, alg: AlgebraPres, mods: dict,
-               u: str, v: str) -> dict:
+def _pair_data(rigid: RigidStructure, mods: dict, u: str, v: str) -> dict:
     """Exact per-vertex-pair equivalence data: dimensions, image rank,
     vanishing on the ideal, bijectivity of the induced map."""
     cat = rigid.cat
@@ -188,7 +138,7 @@ def _pair_data(rigid: RigidStructure, alg: AlgebraPres, mods: dict,
     d_hom = cat.hom_dim(u, v)
     d_ideal = rigid.ideal_dim_pair("sigmaT", u, v)
     stable = d_hom - d_ideal
-    mh = module_hom_dim(rigid, mods[u], mods[v], alg)
+    mh = module_hom_dim(rigid, mods[u], mods[v])
     if d_hom:
         img = induced_tensor(rigid, uo, vo).reshape(d_hom, -1).T % p
         img_rank = fast_rank(img, p)
@@ -217,9 +167,8 @@ def check_equivalence(rigid: RigidStructure, pair_total: int = 2,
     map and rank-checking it."""
     cat = rigid.cat
     p = cat.field.p
-    alg = end_algebra(rigid)
-    mods = {v: module_of(rigid, Obj((v,)), alg) for v in rigid.ts_ind}
-    pair_info = {(u, v): _pair_data(rigid, alg, mods, u, v)
+    mods = {v: module_of(rigid, Obj((v,))) for v in rigid.ts_ind}
+    pair_info = {(u, v): _pair_data(rigid, mods, u, v)
                  for u in rigid.ts_ind for v in rigid.ts_ind}
     rep = Report("equivalence", {
         "field_char": p, "T": list(rigid.t_ind), "pair_total": pair_total,
@@ -257,8 +206,7 @@ def check_equivalence(rigid: RigidStructure, pair_total: int = 2,
             img_rank = fast_rank(img, p)
         ideal_cols = rigid.ideal_span_matrix("sigmaT", x, y)
         ideal_dim = fast_rank(ideal_cols, p)
-        mh = module_hom_dim(rigid, module_of(rigid, x, alg),
-                            module_of(rigid, y, alg), alg)
+        mh = module_hom_dim(rigid, module_of(rigid, x), module_of(rigid, y))
         if img_rank != mh or d_hom - ideal_dim != mh:
             bad_asm.append({"X": list(x.summands), "Y": list(y.summands),
                             "img_rank": img_rank, "module_hom": mh,
@@ -274,7 +222,6 @@ def essential_surjectivity_probe(rigid: RigidStructure, max_summands: int = 2,
     """Optional bounded probe: modules of arbitrary objects are isomorphic
     to modules of cofibrant ones (via the cofibrant replacement)."""
     cat = rigid.cat
-    alg = end_algebra(rigid)
     rng = np.random.default_rng(seed)
     rep = Report("essential-surjectivity", {
         "field_char": cat.field.p, "T": list(rigid.t_ind),
@@ -286,8 +233,7 @@ def essential_surjectivity_probe(rigid: RigidStructure, max_summands: int = 2,
     for _ in range(budget):
         x = pool[int(rng.integers(0, len(pool)))]
         qx, _ = rigid.cofibrant_replacement(x)
-        iso = find_module_iso(rigid, module_of(rigid, qx, alg),
-                              module_of(rigid, x, alg), alg)
+        iso = find_module_iso(rigid, module_of(rigid, qx), module_of(rigid, x))
         if iso is None:
             bad.append({"X": list(x.summands), "QX": list(qx.summands)})
     rep.add("essential-surjectivity-probe", not bad,

@@ -21,9 +21,13 @@ morphisms r and ``right_mul_tensor`` for Hom(g, z) over the generator rows
 g; neither is kept beyond the call.  The lemma suite runs one Hom space at
 a time: every morphism of Hom(x, y) is a row of a coefficient array, ideal
 membership and solvability of the homotopy correction are products with
-annihilators of row spaces, and the weq / fib flags are batched ranks;
-only the weak-cofibration test (a retraction solve and lifting checks)
-stays per morphism.
+annihilators of row spaces, Hom(T, -) vanishes on a row iff the row's
+contraction with one ``left_mul_tensor``, that of T as the sum of the
+rigid vertices, is zero, and the weq / fib flags are batched ranks of
+Hom(T, -) and Hom(sigma T, -) (``RigidStructure.class_masks``;
+``RigidStructure.classify`` says why the sum objects decide as their
+vertices do).  Only the weak-cofibration test (a retraction solve and
+lifting checks) stays per morphism.
 """
 
 from __future__ import annotations
@@ -630,11 +634,9 @@ def lemma_equivalence_suite(cat: MeshCategory, rigid: RigidStructure,
             return ac.vec_to_mor(cat, x, y, coeffs[n])
 
         in_ideal = _in_span(rigid.ideal_span_matrix("perp", x, y), coeffs, p)
-        functor_zero = np.ones(len(coeffs), dtype=bool)
-        for t in rigid.t_ind:
-            functor_zero &= ~np.any(ac.apply_tensor(
-                ac.left_mul_tensor(cat, Obj((t,)), x, y), coeffs, p),
-                axis=(1, 2))
+        functor_zero = ~np.any(ac.apply_tensor(
+            ac.left_mul_tensor(cat, Obj(rigid.t_ind), x, y), coeffs, p),
+            axis=(1, 2))
         bad_a.extend(mor_to_json(mor(n))
                      for n in np.flatnonzero(in_ideal != functor_zero))
         wfib = weq & fib

@@ -9,8 +9,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .addcat import Mor, Obj
 from .meshcat import MeshCategory
 
@@ -129,6 +127,7 @@ def mor_from_json(cat: MeshCategory, data: dict) -> Mor:
                 raise ValueError(
                     f"blocks[{i}][{j}] must be a list of {d} integer "
                     "coefficients")
+            # reduced as Python ints, so no coefficient overflows int64
             if d:
-                f.set_block(i, j, np.array(coeffs, dtype=np.int64))
+                f.set_block(i, j, [c % cat.field.p for c in coeffs])
     return f

@@ -2,19 +2,22 @@
 subcategory.
 
 Given a rigid set T of indecomposables in a mesh category, this module
-derives the whole verification surface:
+derives the whole verification surface.  T, sigma T and each named
+subcategory U (``subcat``) enter the Hom functors as objects, the direct
+sums of their vertices, so Hom(T, -) is built once, not vertex by vertex;
+``classify`` states why the verdicts are those of the vertices.
 
   * ideals of morphisms factoring through a subcategory, decided blockwise
     by span membership per vertex pair;
   * left/right approximations (tautological and greedily minimized, the
-    minimization done on the matrices of Hom(u, -) with one column group per
-    summand);
-  * the four morphism classes: weak equivalences (Hom(t, -) applied to the
-    morphism is bijective for every t in T), fibrations (Hom(sigma t, -)
-    surjective), trivial fibrations (both), and weak cofibrations (split
-    monos with complement in sigma T); ``class_masks`` gives the first two
-    flags for whole Hom spaces at once, through ``addcat.left_mul_tensor``
-    and batched ranks;
+    minimization done on the matrix of Hom(U, -) or Hom(-, U) with one
+    column group per summand);
+  * the four morphism classes: weak equivalences (Hom(T, -) applied to the
+    morphism is bijective), fibrations (Hom(sigma T, -) surjective),
+    trivial fibrations (both), and weak cofibrations (split monos with
+    complement in add sigma T); ``class_masks`` gives the first two flags
+    for whole Hom spaces at once, through ``addcat.left_mul_tensor`` and
+    batched ranks;
   * cofibrant objects: the cones of morphisms between sums of T vertices,
     defined here by the approximation criterion (the minimal left
     perp-approximation of an indecomposable lands in add sigma T); cones
@@ -260,31 +263,30 @@ class RigidStructure:
             return ac.block_mor(cat, [x], ends, [maps])
         return ac.block_mor(cat, ends, [x], [[m] for m in maps])
 
-    def _approx_matrices(self, f: Mor, side: str, key):
-        """Yield (m, group) for each u in the subcategory: m is Hom(u, f)
-        (right side) or Hom(f, u) (left side), and group[c] the summand of
-        the approximating object that column c of m belongs to.  f is an
-        approximation iff every m has full row rank."""
+    def _approx_matrix(self, f: Mor, side: str, key):
+        """(m, group): m is Hom(U, f) (right side) or Hom(f, U) (left side)
+        for U the sum of the subcategory's vertices, and group[c] the summand
+        of the approximating object that column c of m belongs to.  f is an
+        approximation iff m has full row rank, as m is block diagonal over
+        the vertices of U (see ``classify``)."""
         cat = self.cat
         right = side == "right"
         a = f.dom if right else f.cod
-        for u in self.subcat(key):
-            uo = Obj((u,))
-            if right:
-                m = ac.left_mul_matrix(f, uo)
-                layout = ac.hom_layout(cat, uo, a)[0]
-            else:
-                m = ac.right_mul_matrix(f, uo)
-                layout = ac.hom_layout(cat, a, uo)[0]
-            group = np.empty(m.shape[1], dtype=np.int64)
-            for ij, off, d in layout:
-                group[off:off + d] = ij[0] if right else ij[1]
-            yield m, group
+        uo = Obj(self.subcat(key))
+        if right:
+            m = ac.left_mul_matrix(f, uo)
+            layout = ac.hom_layout(cat, uo, a)[0]
+        else:
+            m = ac.right_mul_matrix(f, uo)
+            layout = ac.hom_layout(cat, a, uo)[0]
+        group = np.empty(m.shape[1], dtype=np.int64)
+        for ij, off, d in layout:
+            group[off:off + d] = ij[0] if right else ij[1]
+        return m, group
 
     def is_approximation(self, f: Mor, side: str, key) -> bool:
-        p = self.cat.field.p
-        return all(fast_rank(m, p) == m.shape[0]
-                   for m, _ in self._approx_matrices(f, side, key))
+        m, _ = self._approx_matrix(f, side, key)
+        return fast_rank(m, self.cat.field.p) == m.shape[0]
 
     def approx(self, x: Obj, side: str, key) -> Mor:
         """Minimal left/right approximation of x by the subcategory.
@@ -304,26 +306,25 @@ class RigidStructure:
         return hit
 
     def _minimize(self, f: Mor, side: str, key) -> Mor:
-        """Greedy minimization of an approximation f, on matrices.
+        """Greedy minimization of an approximation f, on one matrix.
 
-        For each u in the subcategory, Hom(u, f) (right side) or Hom(f, u)
-        (left side) has one column group per summand of the approximating
-        object, so dropping summand k deletes group k, and f stays an
-        approximation iff every such matrix keeps full row rank.  Dropping
-        more only lowers a rank, so a summand whose drop once failed can
-        never be dropped later, and one forward pass makes the same drops as
-        rescanning from the first summand after each drop would.
+        Hom(U, f) (right side) or Hom(f, U) (left side) has one column group
+        per summand of the approximating object, so dropping summand k
+        deletes group k, and f stays an approximation iff the matrix keeps
+        full row rank.  Dropping more only lowers a rank, so a summand whose
+        drop once failed can never be dropped later, and one forward pass
+        makes the same drops as rescanning from the first summand after each
+        drop would.
         """
         cat = self.cat
         p = cat.field.p
         right = side == "right"
         a = f.dom if right else f.cod
-        checks = list(self._approx_matrices(f, side, key))
+        m, group = self._approx_matrix(f, side, key)
         keep = np.ones(len(a), dtype=bool)
         for k in range(len(a)):
             keep[k] = False
-            if not all(fast_rank(m[:, keep[group]], p) == m.shape[0]
-                       for m, group in checks):
+            if fast_rank(m[:, keep[group]], p) != m.shape[0]:
                 keep[k] = True
         kept = np.flatnonzero(keep).tolist()
         new = {old: i for i, old in enumerate(kept)}
@@ -339,20 +340,26 @@ class RigidStructure:
     # ---------------------------------------------------------- morphism classes
 
     def classify(self, f: Mor) -> Classification:
+        """f is a weak equivalence iff Hom(T, f) is bijective, a fibration
+        iff Hom(sigma T, f) is surjective, with T and sigma T the sums of
+        their vertices.
+
+        Per vertex t the condition reads Hom(t, f), and the sum object asks
+        the same: ``hom_layout`` keeps the summand index of w on both sides
+        of Hom(w, f) (and of Hom(f, w)), so after permuting rows and columns
+        Hom(T, f) is block diagonal with blocks Hom(t, f), of r_t rows and
+        c_t columns.  It has full row rank iff every block does, and if it
+        is also square then every block is, since r_t <= c_t for each t and
+        the r_t and c_t have equal sums.  Dropping a summand of the
+        approximating object deletes its columns from the blocks that hold
+        them and leaves the matrix block diagonal, so the same holds for the
+        approximation tests of ``is_approximation`` and ``_minimize``."""
         cat = self.cat
         p = cat.field.p
-        weq = True
-        for t in self.t_ind:
-            m = ac.left_mul_matrix(f, Obj((t,)))
-            if m.shape[0] != m.shape[1] or fast_rank(m, p) != m.shape[0]:
-                weq = False
-                break
-        fib = True
-        for t in self.t_ind:
-            m = ac.left_mul_matrix(f, Obj((cat.sigma_vertex(t),)))
-            if fast_rank(m, p) != m.shape[0]:
-                fib = False
-                break
+        m = ac.left_mul_matrix(f, Obj(self.t_ind))
+        weq = m.shape[0] == m.shape[1] and fast_rank(m, p) == m.shape[0]
+        m = ac.left_mul_matrix(f, Obj(self.sigma_t_ind))
+        fib = fast_rank(m, p) == m.shape[0]
         retraction = None
         complement = self.split_mono_complement(f.dom, f.cod)
         if complement is not None:
@@ -379,23 +386,17 @@ class RigidStructure:
     def class_masks(self, spaces) -> list[tuple[np.ndarray, np.ndarray]]:
         """``classify``'s (weq, fib) flags for every morphism of every
         (x, y, coeffs) of spaces, whose rows are morphisms x -> y in
-        hom_layout coordinates.  Hom(w, f) for w in T and sigma T must be
-        square (T only) and of full row rank; all of them, over all spaces,
+        hom_layout coordinates.  Hom(T, f) must be square and of full row
+        rank, Hom(sigma T, f) of full row rank; all of them, over all spaces,
         are ranked together."""
         p = self.cat.field.p
-        nt = len(self.t_ind)
-        ws = [Obj((t,)) for t in self.t_ind] + \
-            [Obj((self.cat.sigma_vertex(t),)) for t in self.t_ind]
+        ws = (Obj(self.t_ind), Obj(self.sigma_t_ind))
         mats = [ac.apply_tensor(ac.left_mul_tensor(self.cat, w, x, y),
                                 coeffs, p)
                 for x, y, coeffs in spaces for w in ws]
         full = [r == m.shape[1] for r, m in zip(ragged_rank(mats, p), mats)]
-        out = []
-        for k in range(0, len(mats), len(ws)):
-            square = all(m.shape[1] == m.shape[2] for m in mats[k:k + nt])
-            out.append((np.logical_and.reduce(full[k:k + nt]) & square,
-                        np.logical_and.reduce(full[k + nt:k + len(ws)])))
-        return out
+        return [(full[k] & (mats[k].shape[1] == mats[k].shape[2]),
+                 full[k + 1]) for k in range(0, len(mats), 2)]
 
     # ------------------------------------------------------ cofibrant objects
 

@@ -139,6 +139,24 @@ def test_classify_malformed_morphism(tmp_path):
     assert b"blocks" in r.stderr
 
 
+def test_classify_reduces_oversized_coefficients(tmp_path):
+    # coefficients are reduced mod p as Python ints, so one beyond int64
+    # classifies as its residue does, as a negative one already did
+    def witnesses(c):
+        path = tmp_path / "mor.json"
+        with open(path, "w") as fh:
+            json.dump({"dom": ["13"], "cod": ["13"], "blocks": [[[c]]]}, fh)
+        r = run_cli("classify", "--type", "A", "--rank", "2", "--T", "13",
+                    "--mor", str(path), "--report", "json")
+        assert r.returncode == 0, r.stderr
+        return json.loads(r.stdout)["checks"][0]["witnesses"]
+
+    for big, small in ((10 ** 23, 0), (10 ** 23 + 1, 1), (-10 ** 23 - 1, 1)):
+        assert witnesses(big) == witnesses(small)
+    assert witnesses(10 ** 23)["flags"]["weq"] is False
+    assert witnesses(10 ** 23 + 1)["flags"]["weq"] is True
+
+
 def test_byte_determinism():
     args = ("axioms", "--type", "A", "--rank", "2", "--T", "13",
             "--budget", "80", "--report", "json")

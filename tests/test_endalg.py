@@ -54,15 +54,14 @@ def test_radical_square_zero(rigid_pair):
 
 
 def test_module_of_values(cat, rigid):
-    alg = ea.end_algebra(rigid)
-    assert ea.module_of(rigid, ac.obj(), alg).dim == 0
-    assert ea.module_of(rigid, ac.obj("13"), alg).dim == 1
-    assert ea.module_of(rigid, ac.obj("25"), alg).dim == 0
+    assert ea.module_of(rigid, ac.obj()).dim == 0
+    assert ea.module_of(rigid, ac.obj("13")).dim == 1
+    assert ea.module_of(rigid, ac.obj("25")).dim == 0
 
 
 def test_module_action_respects_structure(cat, rigid_pair):
     alg = ea.end_algebra(rigid_pair)
-    m = ea.module_of(rigid_pair, ac.obj("13", "14", "24"), alg)
+    m = ea.module_of(rigid_pair, ac.obj("13", "14", "24"))
     eye = np.eye(alg.dim, dtype=np.int64)
     # unit acts as the identity
     unit_action = sum(int(c) * m.action[i]
@@ -78,28 +77,25 @@ def test_module_action_respects_structure(cat, rigid_pair):
 
 
 def test_module_hom_dim_identity_intertwiner(cat, rigid_pair):
-    alg = ea.end_algebra(rigid_pair)
-    m = ea.module_of(rigid_pair, ac.obj("13"), alg)
+    m = ea.module_of(rigid_pair, ac.obj("13"))
     assert m.dim > 0
-    assert ea.module_hom_dim(rigid_pair, m, m, alg) >= 1
+    assert ea.module_hom_dim(rigid_pair, m, m) >= 1
 
 
 def test_module_of_additive(cat, rigid_pair):
-    alg = ea.end_algebra(rigid_pair)
     rng = np.random.default_rng(3)
     for _ in range(10):
         xs = [cat.verts[i] for i in rng.integers(0, 5, size=3)]
         x, y = ac.Obj(tuple(xs[:2])), ac.Obj((xs[2],))
-        mx = ea.module_of(rigid_pair, x, alg)
-        my = ea.module_of(rigid_pair, y, alg)
-        mxy = ea.module_of(rigid_pair, ac.dsum_obj(x, y), alg)
+        mx = ea.module_of(rigid_pair, x)
+        my = ea.module_of(rigid_pair, y)
+        mxy = ea.module_of(rigid_pair, ac.dsum_obj(x, y))
         assert mxy.dim == mx.dim + my.dim
-        iso = ea.find_module_iso(rigid_pair, mxy, mxy, alg)
+        iso = ea.find_module_iso(rigid_pair, mxy, mxy)
         assert iso is not None
 
 
 def test_weq_induces_module_isomorphism(cat, rigid):
-    alg = ea.end_algebra(rigid)
     rng = np.random.default_rng(5)
     from trimodel.oracle import objects_up_to
     pool = objects_up_to(cat, 2)
@@ -125,9 +121,8 @@ def test_check_equivalence_a2(rigid):
 def test_check_equivalence_hand_values(cat, rigid):
     """With a single rigid vertex the algebra is the field: stable homs
     between cofibrant objects count copies of the rigid vertex."""
-    alg = ea.end_algebra(rigid)
-    m13 = ea.module_of(rigid, ac.obj("13"), alg)
-    assert ea.module_hom_dim(rigid, m13, m13, alg) == 1
+    m13 = ea.module_of(rigid, ac.obj("13"))
+    assert ea.module_hom_dim(rigid, m13, m13) == 1
     assert cat.hom_dim("13", "13") \
         - rigid.ideal_dim_pair("sigmaT", "13", "13") == 1
     # anything through the suspended vertex dies in the quotient
@@ -136,10 +131,9 @@ def test_check_equivalence_hand_values(cat, rigid):
 
 
 def test_find_module_iso_negative(cat, rigid_pair):
-    alg = ea.end_algebra(rigid_pair)
-    m = ea.module_of(rigid_pair, ac.obj("13"), alg)
-    n = ea.module_of(rigid_pair, ac.obj("13", "13"), alg)
-    assert ea.find_module_iso(rigid_pair, m, n, alg) is None
+    m = ea.module_of(rigid_pair, ac.obj("13"))
+    n = ea.module_of(rigid_pair, ac.obj("13", "13"))
+    assert ea.find_module_iso(rigid_pair, m, n) is None
 
 
 def test_essential_surjectivity_probe(rigid):

@@ -65,7 +65,8 @@ CLI_CASES = {
 
 def _classify_input():
     cat = mc.build_type_a(3, PrimeField(2))
-    f = ac.random_morphism(cat, ac.obj("13", "24"), ac.obj("14", "25"), 7)
+    f = ac.random_morphism_rng(cat, ac.obj("13", "24"), ac.obj("14", "25"),
+                              np.random.default_rng(7))
     return mor_to_json(f)
 
 

@@ -163,7 +163,7 @@ def per_morphism_suite(cat, rigid, max_summands=2, seed=0, gen_mult_bound=2,
                                     "f": mor_to_json(f),
                                     "reason": "LLP vs fibration failed"})
                                 break
-                got = rigid._homotopy_correction(f, ac.zero_mor(cat, x, y))
+                got = rigid._homotopy_correction(f, ac.Mor(cat, x, y))
                 if (got is not None) != in_ideal:
                     bad_d.append(mor_to_json(f))
                 records.append((in_ideal, functor_zero, verdict, cls.weq,
@@ -207,11 +207,9 @@ def batched_records(cat, rigid, max_summands=2, seed=0, gen_mult_bound=2,
             spaces, fails, rigid.class_masks(spaces)):
         in_ideal = oracle._in_span(rigid.ideal_span_matrix("perp", x, y),
                                    coeffs, p)
-        zero = np.ones(len(coeffs), dtype=bool)
-        for t in rigid.t_ind:
-            zero &= ~np.any(ac.apply_tensor(
-                ac.left_mul_tensor(cat, ac.obj(t), x, y), coeffs, p),
-                axis=(1, 2))
+        zero = ~np.any(ac.apply_tensor(
+            ac.left_mul_tensor(cat, ac.Obj(rigid.t_ind), x, y), coeffs, p),
+            axis=(1, 2))
         a = rigid.tautological_approx(x, "left", "perp")
         solvable = oracle._in_span(ac.right_mul_matrix(a, y), coeffs, p)
         rest = rigid.split_mono_complement(x, y)
@@ -308,7 +306,7 @@ def test_a_pair_fails_when_any_of_its_rows_fails(monkeypatch):
         want = [1, 1] if len(rows) == 1 else [0, 1]
         assert fails[0].tolist() == want
     # the exhaustive flag covers the pairs walked, the failing one included
-    zero_map = ac.zero_mor(cat, v, v)
+    zero_map = ac.Mor(cat, v, v)
     for sampled, want in (((False, True), (False, False)),
                           ((True, False), (False, False)),
                           ((False, False), (False, True))):
@@ -363,41 +361,35 @@ def test_tensors_match_multiplication_matrices(kind, p):
 
 @pytest.mark.parametrize("kind,p", TENSOR_KINDS)
 def test_module_and_induced_maps_match_elementary_maps(kind, p):
-    # module_of against right_mul_matrix of each elementary map between T
-    # vertices, and induced_tensor against left_mul_matrix of each
-    # elementary map x -> y, on every T vertex
+    # with T the sum of the rigid vertices: module_of against
+    # right_mul_matrix of each elementary map of Hom(T, T), in
+    # hom_layout(T, T) order, and induced_tensor against left_mul_matrix of
+    # T for each elementary map x -> y, in hom_layout(x, y) order
     cat = _tensor_cat(kind, p)
     rigid = rm.build_rigid(cat, rm.all_rigid_subsets(cat)[-1])
-    alg = ea.end_algebra(rigid)
+    t = ac.Obj(rigid.t_ind)
     pool = oracle.objects_up_to(cat, 2)
+
+    def elementary_maps(x, y):
+        layout = ac.hom_layout(cat, x, y)[0]
+        return [ac.elementary(cat, x, y, i, j, k)
+                for (i, j), _, d in layout for k in range(d)]
+
+    alg = ea.end_algebra(rigid)
+    es = elementary_maps(t, t)
+    assert np.array_equal(alg.structure, np.array(
+        [[ac.mor_to_vec(ac.compose(b, a)) for b in es] for a in es]))
+    assert np.array_equal(alg.unit, ac.mor_to_vec(ac.identity(cat, t)))
     for x in pool:
-        offsets, total = ea.module_layout(rigid, x)
-        want = np.zeros((alg.dim, total, total), dtype=np.int64)
-        i = 0
-        for a in rigid.t_ind:
-            for b in rigid.t_ind:
-                for k in range(cat.hom_dim(a, b)):
-                    e = ac.elementary(cat, ac.obj(a), ac.obj(b), 0, 0, k)
-                    m = ac.right_mul_matrix(e, x)
-                    want[i, offsets[a]:offsets[a] + m.shape[0],
-                         offsets[b]:offsets[b] + m.shape[1]] = m
-                    i += 1
-        assert np.array_equal(ea.module_of(rigid, x, alg).action, want)
+        want = [ac.right_mul_matrix(e, x) for e in es]
+        assert np.array_equal(ea.module_of(rigid, x).action, np.stack(want))
     rng = np.random.default_rng(p)
     for _ in range(40):
         x, y = (pool[int(rng.integers(0, len(pool)))] for _ in range(2))
-        src_off, src_dim = ea.module_layout(rigid, x)
-        dst_off, dst_dim = ea.module_layout(rigid, y)
-        layout, d = ac.hom_layout(cat, x, y)
-        want = np.zeros((d, dst_dim, src_dim), dtype=np.int64)
-        for (i, j), off, dd in layout:
-            for k in range(dd):
-                e = ac.elementary(cat, x, y, i, j, k)
-                for t in rigid.t_ind:
-                    m = ac.left_mul_matrix(e, ac.obj(t))
-                    want[off + k, dst_off[t]:dst_off[t] + m.shape[0],
-                         src_off[t]:src_off[t] + m.shape[1]] = m
-        assert np.array_equal(ea.induced_tensor(rigid, x, y) % p, want)
+        got = ea.induced_tensor(rigid, x, y) % p
+        want = [ac.left_mul_matrix(e, t) for e in elementary_maps(x, y)]
+        assert np.array_equal(got, np.stack(want) if want else
+                              np.zeros(got.shape, dtype=np.int64))
 
 
 def _drop_a_perp_vertex(rigid, monkeypatch):
@@ -410,7 +402,7 @@ def _truncate_cofibrant_list(rigid, monkeypatch):
 
 def _wrong_retractions(rigid, monkeypatch):
     monkeypatch.setattr(ac, "find_retraction",
-                        lambda f: ac.zero_mor(f.cat, f.cod, f.dom))
+                        lambda f: ac.Mor(f.cat, f.cod, f.dom))
 
 
 @pytest.mark.parametrize("breakage", [_drop_a_perp_vertex,

@@ -32,7 +32,7 @@ def test_rlp_against_identity_always_holds(cat, rigid):
 
 
 def test_rlp_zero_to_suspended_t_vs_fibration(cat, rigid):
-    ell = ac.zero_mor(cat, ac.obj(), ac.obj("25"))
+    ell = ac.Mor(cat, ac.obj(), ac.obj("25"))
     rng = np.random.default_rng(2)
     pool = oracle.objects_up_to(cat, 2)
     for _ in range(20):
@@ -89,7 +89,7 @@ def test_both_homotopy_modes_share_one_square_space(cat, rigid,
 
 def test_unknown_mode_raises_before_any_rank(cat, rigid, monkeypatch):
     monkeypatch.setattr(oracle, "fast_rank", None)
-    zero = ac.zero_mor(cat, ac.obj(), ac.obj())
+    zero = ac.Mor(cat, ac.obj(), ac.obj())
     ell = ac.identity(cat, ac.obj("13", "14"))
     for e in (zero, ell):
         with pytest.raises(ValueError, match="htp_tpo"):
@@ -209,7 +209,7 @@ def test_replacement_map_passes_generating_rlp(cat, rigid):
 
 
 def test_lifting_report_fields(cat, rigid):
-    ell = ac.zero_mor(cat, ac.obj(), ac.obj("25"))
+    ell = ac.Mor(cat, ac.obj(), ac.obj("25"))
     r = ac.identity(cat, ac.obj("13"))
     rep = oracle.lifting_report(rigid, ell, r)
     assert rep.plain and rep.htp_top and rep.htp_bottom

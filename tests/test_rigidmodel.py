@@ -6,7 +6,7 @@ import pytest
 from trimodel import addcat as ac
 from trimodel import meshcat as mc
 from trimodel import rigidmodel as rm
-from trimodel.exactlin import PrimeField
+from trimodel.exactlin import PrimeField, fast_rank
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +48,7 @@ def test_build_rigid_unknown_vertex(cat):
 
 
 def test_ideal_membership_zero_and_arrow(cat, rigid):
-    z = ac.zero_mor(cat, ac.obj("13"), ac.obj("14"))
+    z = ac.Mor(cat, ac.obj("13"), ac.obj("14"))
     for key in ("T", "sigmaT", "perp"):
         assert rigid.ideal_membership(z, key)
     arrow = ac.elementary(cat, ac.obj("13"), ac.obj("14"), 0, 0, 0)
@@ -160,14 +160,14 @@ def test_every_t_and_sigma_t_cofibrant(cat):
 def test_homotopic_difference_through_perp(cat, rigid):
     x = ac.obj("25")
     f = ac.identity(cat, x)
-    g = ac.zero_mor(cat, x, x)
+    g = ac.Mor(cat, x, x)
     assert rigid.homotopic(f, g)
     assert rigid.homotopic(f, f)
 
 
 def test_right_homotopy_witness_equations(cat, rigid):
     x = ac.obj("25")
-    f, g = ac.identity(cat, x), ac.zero_mor(cat, x, x)
+    f, g = ac.identity(cat, x), ac.Mor(cat, x, x)
     wit = rigid.right_homotopy(f, g)
     assert wit is not None
     wit_refl = rigid.right_homotopy(f, f)
@@ -177,8 +177,8 @@ def test_right_homotopy_witness_equations(cat, rigid):
 def test_right_homotopy_none_when_not_homotopic(cat, rigid):
     x, y = ac.obj("13"), ac.obj("14")
     arrow = ac.elementary(cat, x, y, 0, 0, 0)
-    assert not rigid.homotopic(arrow, ac.zero_mor(cat, x, y))
-    assert rigid.right_homotopy(arrow, ac.zero_mor(cat, x, y)) is None
+    assert not rigid.homotopic(arrow, ac.Mor(cat, x, y))
+    assert rigid.right_homotopy(arrow, ac.Mor(cat, x, y)) is None
 
 
 def test_homotopy_is_equivalence_relation_exhaustive(cat, rigid):
@@ -251,7 +251,7 @@ def test_factor_wcof_fib_composite_and_certificates(cat, rigid):
 
 
 def test_factor_wcof_fib_zero_to_14(cat, rigid):
-    f = ac.zero_mor(cat, ac.obj(), ac.obj("14"))
+    f = ac.Mor(cat, ac.obj(), ac.obj("14"))
     fp = rigid.factor_wcof_fib(f)
     # no suspended copy maps to 14, so the middle object is zero
     assert fp.first.cod == ac.obj()
@@ -424,28 +424,29 @@ def replacement_oracle(rigid, x):
 def approx_oracle(rigid, x, side, key):
     """Greedy minimization rebuilding the morphism for every drop tried and
     rescanning from the first summand after each drop."""
-    cat = rigid.cat
     f = rigid.tautological_approx(x, side, key)
     while True:
         a = f.dom if side == "right" else f.cod
         for drop in range(len(a.summands)):
-            keep = [k for k in range(len(a.summands)) if k != drop]
-            new_a = ac.Obj(tuple(a.summands[k] for k in keep))
-            if side == "right":
-                g = ac.Mor(cat, new_a, x)
-                for (i, j), vec in f.blocks.items():
-                    if j != drop:
-                        g.set_block(i, keep.index(j), vec)
-            else:
-                g = ac.Mor(cat, x, new_a)
-                for (i, j), vec in f.blocks.items():
-                    if i != drop:
-                        g.set_block(keep.index(i), j, vec)
+            g = _drop_summand(f, side, drop)
             if rigid.is_approximation(g, side, key):
                 f = g
                 break
         else:
             return f
+
+
+def _drop_summand(f, side, k):
+    """f with summand k of its approximating object (the domain on the
+    right side, the codomain on the left) removed."""
+    right = side == "right"
+    a = f.dom if right else f.cod
+    b = ac.Obj(a.summands[:k] + a.summands[k + 1:])
+    if right:
+        return ac.Mor(f.cat, b, f.cod, {(i, j - (j > k)): vec for (i, j), vec
+                                        in f.blocks.items() if j != k})
+    return ac.Mor(f.cat, f.dom, b, {(i - (i > k), j): vec for (i, j), vec
+                                    in f.blocks.items() if i != k})
 
 
 def _replacement_outcome(fn, rigid, x):
@@ -547,16 +548,31 @@ def test_replacement_is_memoized_and_certified(rigid):
 
 
 def test_approx_matches_rescanning_greedy(parity_rigids):
+    """Every vertex, both sides, every named subcategory: the minimal
+    approximation is the one the rescanning greedy and the per-vertex
+    forward pass find, and each single-summand drop from the tautological
+    approximation is an approximation exactly when it is one vertex by
+    vertex."""
+    verdicts = set()
     for rigid in parity_rigids:
         for v in rigid.cat.verts:
+            x = ac.obj(v)
             for side in ("left", "right"):
-                for key in ("T", "sigmaT", "perp"):
-                    x = ac.obj(v)
-                    want = approx_oracle(rigid, x, side, key)
+                for key in ("T", "sigmaT", "perp", "TS"):
                     got = rigid.approx(x, side, key)
-                    assert (got.dom, got.cod) == (want.dom, want.cod)
-                    assert list(got.blocks) == list(want.blocks)
-                    assert got == want
+                    for want in (approx_oracle(rigid, x, side, key),
+                                 per_vertex_approx(rigid, x, side, key)):
+                        assert (got.dom, got.cod) == (want.dom, want.cod)
+                        assert list(got.blocks) == list(want.blocks)
+                        assert got == want
+                    f = rigid.tautological_approx(x, side, key)
+                    for k in range(len(f.dom if side == "right" else f.cod)):
+                        g = _drop_summand(f, side, k)
+                        want = per_vertex_is_approximation(rigid, g, side,
+                                                           key)
+                        assert rigid.is_approximation(g, side, key) == want
+                        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_epsilon_verified_once_per_domain(cat, monkeypatch):
@@ -577,3 +593,105 @@ def test_epsilon_verified_once_per_domain(cat, monkeypatch):
     for _ in range(2):
         with pytest.raises(AssertionError, match="epsilon verification"):
             broken.factor_htpcof_wfib(f)
+
+
+# ------------------------------------------ per-vertex Hom(t, -) oracles
+
+
+def per_vertex_classes(rigid, f):
+    """classify's (weq, fib), one vertex at a time: Hom(t, f) square and
+    bijective for every t in T, Hom(sigma t, f) surjective for every t."""
+    p = rigid.cat.field.p
+    weq = fib = True
+    for t in rigid.t_ind:
+        m = ac.left_mul_matrix(f, ac.obj(t))
+        weq = weq and m.shape[0] == m.shape[1] and \
+            fast_rank(m, p) == m.shape[0]
+        m = ac.left_mul_matrix(f, ac.obj(rigid.cat.sigma_vertex(t)))
+        fib = fib and fast_rank(m, p) == m.shape[0]
+    return weq, fib
+
+
+def per_vertex_is_approximation(rigid, f, side, key):
+    """Hom(u, f) (right side) or Hom(f, u) (left side) of full row rank for
+    every vertex u of the subcategory."""
+    p = rigid.cat.field.p
+    mul = ac.left_mul_matrix if side == "right" else ac.right_mul_matrix
+    return all(fast_rank(m, p) == m.shape[0]
+               for m in (mul(f, ac.obj(u)) for u in rigid.subcat(key)))
+
+
+def per_vertex_approx(rigid, x, side, key):
+    """The tautological approximation minimized vertex by vertex: one
+    forward pass drops each summand whose drop keeps
+    ``per_vertex_is_approximation``."""
+    f = rigid.tautological_approx(x, side, key)
+    k = 0
+    while k < len(f.dom if side == "right" else f.cod):
+        g = _drop_summand(f, side, k)
+        if per_vertex_is_approximation(rigid, g, side, key):
+            f = g
+        else:
+            k += 1
+    return f
+
+
+def _class_parity_cases():
+    """(category, rigid set, pairs): every rigid set of A2 and the A3 sets
+    13,35 and 13,35,36, at p = 2 and 3, each on every pair of objects of at
+    most two summands (pairs None), and one D4 set on 400 seeded pairs."""
+    for rank in (2, 3):
+        for p in (2, 3):
+            cat = mc.build_type_a(rank, PrimeField(p))
+            sets = rm.all_rigid_subsets(cat)
+            for t_set in sets if rank == 2 else sets[11::22]:
+                yield pytest.param(cat, t_set, None,
+                                   id=f"A{rank}-p{p}-{','.join(t_set)}")
+    d4 = mc.build_dynkin(mc.dynkin_d4_subspace(), PrimeField(2))
+    yield pytest.param(d4, ("M0001", "M0010", "SP1"), 400,
+                       id="D4-p2-M0001,M0010,SP1")
+
+
+@pytest.mark.parametrize("cat,t_set,pairs", _class_parity_cases())
+def test_classify_and_class_masks_match_per_vertex_oracle(cat, t_set, pairs):
+    """Hom(T, f) and Hom(sigma T, f) on the sum objects give the verdicts of
+    the per-vertex loop, on every morphism of every Hom space tested."""
+    from trimodel.oracle import objects_up_to
+    rigid = rm.build_rigid(cat, t_set)
+    p = cat.field.p
+    pool = objects_up_to(cat, 2)
+    spaces = [(x, y) for x in pool for y in pool]
+    if pairs is not None:
+        rng = np.random.default_rng(0)
+        spaces = [spaces[i] for i in rng.choice(len(spaces), pairs,
+                                                replace=False)]
+    seen = set()
+    for x, y in spaces:
+        d = ac.hom_space_dim(cat, x, y)
+        rows = next(ac.coeff_chunks(p, d, 20, 0, 0))[0]
+        (weq, fib), = rigid.class_masks([(x, y, rows)])
+        for row, mask in zip(rows, zip(weq, fib)):
+            f = ac.vec_to_mor(cat, x, y, row)
+            want = per_vertex_classes(rigid, f)
+            got = rigid.classify(f)
+            assert (got.weq, got.fib) == tuple(mask) == want, (x, y, row)
+            seen.add(want)
+    assert {w for w, _ in seen} == {True, False}
+    assert {fb for _, fb in seen} == {True, False}
+
+
+def test_square_sum_with_a_non_square_vertex_is_not_weq():
+    """With T = 13 + 14 in A2, f: 24 -> 13 + 25 has Hom(T, f) of shape 1 x 1,
+    while Hom(13, f) is 1 x 0 and Hom(14, f) is 0 x 1: the square sum
+    matrix is zero, and f is no weak equivalence."""
+    cat = mc.build_type_a(2, PrimeField(2))
+    rigid = rm.build_rigid(cat, ["13", "14"])
+    x, y = ac.obj("24"), ac.obj("13", "25")
+    f = ac.elementary(cat, x, y, 1, 0, 0)
+    assert ac.left_mul_matrix(f, ac.obj("13", "14")).shape == (1, 1)
+    assert ac.left_mul_matrix(f, ac.obj("13")).shape == (1, 0)
+    assert ac.left_mul_matrix(f, ac.obj("14")).shape == (0, 1)
+    assert not per_vertex_classes(rigid, f)[0]
+    assert not rigid.classify(f).weq
+    (weq, _), = rigid.class_masks([(x, y, ac.mor_to_vec(f)[None])])
+    assert not weq[0]
