@@ -12,7 +12,10 @@ whole Hom space: ``left_mul_tensor`` gives Hom(w, f) and
 ``right_mul_tensor`` gives Hom(f, z) for every f in Hom(x, y) at once, and
 ``apply_tensor`` contracts either with a stack of coefficient rows.
 ``left_mul_matrix`` and ``right_mul_matrix`` build the same matrices for
-one morphism, blockwise, which is cheaper for a single call.
+one morphism, which is cheaper for a single call: the layout of Hom(w, y)
+is grouped by the summand of y, then by that of w, so block (i, j) of f
+and summand k of w fill one rectangle of Hom(w, f), and each rectangle is
+one product of the block vector with a composition tensor.
 
 The suspension acts summand-wise on objects and, via the basis maps computed
 by the mesh layer, linearly on blocks.
@@ -20,6 +23,7 @@ by the mesh layer, linearly on blocks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -86,7 +90,7 @@ class Mor:
             raise ValueError(
                 f"block ({i},{j}) must have length {d}, got shape {v.shape}"
             )
-        if d and np.any(v):
+        if d and v.any():
             self.blocks[(i, j)] = v
         else:
             self.blocks.pop((i, j), None)
@@ -211,8 +215,17 @@ def dsum_mor(*fs: Mor) -> Mor:
 # ------------------------------------------------------------- vectorization
 
 
-def hom_layout(cat: MeshCategory, x: Obj, y: Obj):
-    """Deterministic flat layout of Hom(x, y): ((i, j), offset, dim) rows."""
+@functools.cache
+def _block_keys(ny: int, nx: int) -> tuple:
+    """The block keys (i, j) of a Hom space from nx to ny summands, row by
+    row; shared by every layout of that shape, which keeps the layout cache
+    small."""
+    return tuple((i, j) for i in range(ny) for j in range(nx))
+
+
+def _layout_entry(cat: MeshCategory, x: Obj, y: Obj) -> tuple:
+    """The cached (layout, total, offsets) of Hom(x, y): offsets[i * len(x)
+    + j] is the offset of block (i, j), or -1 when that block is zero."""
     cache = getattr(cat, "_layout_cache", None)
     if cache is None:
         cache = cat._layout_cache = {}
@@ -220,16 +233,23 @@ def hom_layout(cat: MeshCategory, x: Obj, y: Obj):
     hit = cache.get(key)
     if hit is not None:
         return hit
-    layout = []
+    layout, offsets = [], []
     off = 0
-    for i in range(len(y)):
-        for j in range(len(x)):
-            d = cat.hom_dim(x.summands[j], y.summands[i])
-            if d:
-                layout.append(((i, j), off, d))
-                off += d
-    cache[key] = (layout, off)
-    return layout, off
+    for ij in _block_keys(len(y), len(x)):
+        d = cat.hom_dim(x.summands[ij[1]], y.summands[ij[0]])
+        offsets.append(off if d else -1)
+        if d:
+            layout.append((ij, off, d))
+            off += d
+    hit = cache[key] = (layout, off, tuple(offsets))
+    return hit
+
+
+def hom_layout(cat: MeshCategory, x: Obj, y: Obj):
+    """Deterministic flat layout of Hom(x, y): ((i, j), offset, dim) rows,
+    grouped by the summand i of y, then by the summand j of x."""
+    layout, total, _ = _layout_entry(cat, x, y)
+    return layout, total
 
 
 def hom_space_dim(cat: MeshCategory, x: Obj, y: Obj) -> int:
@@ -256,56 +276,45 @@ def vec_to_mor(cat: MeshCategory, x: Obj, y: Obj, vec) -> Mor:
 
 
 def left_mul_matrix(f: Mor, w: Obj) -> np.ndarray:
-    """Matrix of Hom(w, dom f) -> Hom(w, cod f), g -> f . g."""
+    """Matrix of Hom(w, dom f) -> Hom(w, cod f), g -> f . g.
+
+    Block (i, j) of f and summand k of w fill one rectangle: rows (i, k),
+    columns (j, k), the product of the block vector with
+    comp[(w_k, x_j, y_i)]."""
     cat = f.cat
-    src_layout, src_total = hom_layout(cat, w, f.dom)
-    dst_layout, dst_total = hom_layout(cat, w, f.cod)
+    _, src_total, src = _layout_entry(cat, w, f.dom)
+    _, dst_total, dst = _layout_entry(cat, w, f.cod)
     m = np.zeros((dst_total, src_total), dtype=np.int64)
-    dst_index = {ij: (off, d) for ij, off, d in dst_layout}
-    for (jk, soff, sd) in src_layout:
-        j, k = jk
-        u = w.summands[k]
-        v = f.dom.summands[j]
-        for (i, j2), fv in f.blocks.items():
-            if j2 != j:
-                continue
-            entry = dst_index.get((i, k))
-            if entry is None:
-                continue
-            tensor = cat.comp.get((u, v, f.cod.summands[i]))
-            if tensor is None:
-                continue
-            doff, dd = entry
-            # column s of the block: coefficients of f . basis_s
-            m[doff:doff + dd, soff:soff + sd] += np.einsum(
-                "j,jsk->ks", fv, tensor)
+    n = len(w)
+    for (i, j), fv in f.blocks.items():
+        x, y = f.dom.summands[j], f.cod.summands[i]
+        for k, u in enumerate(w.summands):
+            r, c = dst[i * n + k], src[j * n + k]
+            if r >= 0 and c >= 0:
+                t = cat.comp[(u, x, y)]
+                m[r:r + t.shape[2], c:c + t.shape[1]] = \
+                    (fv @ t.reshape(len(fv), -1)).reshape(t.shape[1:]).T
     return m % cat.field.p
 
 
 def right_mul_matrix(f: Mor, z: Obj) -> np.ndarray:
-    """Matrix of Hom(cod f, z) -> Hom(dom f, z), g -> g . f."""
+    """Matrix of Hom(cod f, z) -> Hom(dom f, z), g -> g . f.
+
+    Block (j, k) of f and summand i of z fill one rectangle: rows (i, k),
+    columns (i, j), the product of the block vector with
+    comp[(x_k, y_j, z_i)]."""
     cat = f.cat
-    src_layout, src_total = hom_layout(cat, f.cod, z)
-    dst_layout, dst_total = hom_layout(cat, f.dom, z)
+    _, src_total, src = _layout_entry(cat, f.cod, z)
+    _, dst_total, dst = _layout_entry(cat, f.dom, z)
     m = np.zeros((dst_total, src_total), dtype=np.int64)
-    dst_index = {ij: (off, d) for ij, off, d in dst_layout}
-    for (ij_src, soff, sd) in src_layout:
-        i, j = ij_src          # cod_j -> z_i
-        v = f.cod.summands[j]
-        w = z.summands[i]
-        for (j2, k), fv in f.blocks.items():
-            if j2 != j:
-                continue
-            entry = dst_index.get((i, k))
-            if entry is None:
-                continue
-            u = f.dom.summands[k]
-            tensor = cat.comp.get((u, v, w))
-            if tensor is None:
-                continue
-            doff, dd = entry
-            m[doff:doff + dd, soff:soff + sd] += np.einsum(
-                "i,sik->ks", fv, tensor)
+    n_cod, n_dom = len(f.cod), len(f.dom)
+    for (j, k), fv in f.blocks.items():
+        x, y = f.dom.summands[k], f.cod.summands[j]
+        for i, v in enumerate(z.summands):
+            r, c = dst[i * n_dom + k], src[i * n_cod + j]
+            if r >= 0 and c >= 0:
+                t = cat.comp[(x, y, v)]
+                m[r:r + t.shape[2], c:c + t.shape[0]] = (fv @ t).T
     return m % cat.field.p
 
 
@@ -315,22 +324,20 @@ def left_mul_tensor(cat: MeshCategory, w: Obj, x: Obj, y: Obj) -> np.ndarray:
     hom_layout coordinates: L[c] is Hom(w, -) of the c-th elementary
     morphism."""
     lay, d = hom_layout(cat, x, y)
-    lay_y, dy = hom_layout(cat, w, y)
-    lay_x, dx = hom_layout(cat, w, x)
+    _, dy, dst = _layout_entry(cat, w, y)
+    _, dx, src = _layout_entry(cat, w, x)
     out = np.zeros((d, dy, dx), dtype=np.int64)
     if not out.size:
         return out
     # blocks (i, k) of Hom(w, y) and (j, k) of Hom(w, x), k indexing w
-    dst = {ij: (off, dd) for ij, off, dd in lay_y}
-    src = {ij: (off, dd) for ij, off, dd in lay_x}
+    n = len(w)
     for (i, j), off, dd in lay:
         for k, wk in enumerate(w.summands):
-            tensor = cat.comp.get((wk, x.summands[j], y.summands[i]))
-            if tensor is None or (i, k) not in dst or (j, k) not in src:
-                continue
-            (r0, rd), (c0, cd) = dst[(i, k)], src[(j, k)]
-            out[off:off + dd, r0:r0 + rd, c0:c0 + cd] = \
-                tensor.transpose(0, 2, 1)
+            r, c = dst[i * n + k], src[j * n + k]
+            if r >= 0 and c >= 0:
+                t = cat.comp[(wk, x.summands[j], y.summands[i])]
+                out[off:off + dd, r:r + t.shape[2], c:c + t.shape[1]] = \
+                    t.transpose(0, 2, 1)
     return out
 
 
@@ -340,22 +347,19 @@ def right_mul_tensor(cat: MeshCategory, x: Obj, y: Obj, z: Obj) -> np.ndarray:
     hom_layout coordinates: R[c] is Hom(-, z) of the c-th elementary
     morphism."""
     lay, d = hom_layout(cat, x, y)
-    lay_x, dx = hom_layout(cat, x, z)
-    lay_y, dy = hom_layout(cat, y, z)
+    _, dx, dst = _layout_entry(cat, x, z)
+    _, dy, src = _layout_entry(cat, y, z)
     out = np.zeros((d, dx, dy), dtype=np.int64)
     if not out.size:
         return out
     # blocks (l, j) of Hom(x, z) and (l, i) of Hom(y, z), l indexing z
-    dst = {ij: (off, dd) for ij, off, dd in lay_x}
-    src = {ij: (off, dd) for ij, off, dd in lay_y}
     for (i, j), off, dd in lay:
         for l, zl in enumerate(z.summands):
-            tensor = cat.comp.get((x.summands[j], y.summands[i], zl))
-            if tensor is None or (l, j) not in dst or (l, i) not in src:
-                continue
-            (r0, rd), (c0, cd) = dst[(l, j)], src[(l, i)]
-            out[off:off + dd, r0:r0 + rd, c0:c0 + cd] = \
-                tensor.transpose(1, 2, 0)
+            r, c = dst[l * len(x) + j], src[l * len(y) + i]
+            if r >= 0 and c >= 0:
+                t = cat.comp[(x.summands[j], y.summands[i], zl)]
+                out[off:off + dd, r:r + t.shape[2], c:c + t.shape[0]] = \
+                    t.transpose(1, 2, 0)
     return out
 
 
@@ -372,11 +376,12 @@ def apply_tensor(t: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
 
 def multiset_sub(y: Obj, x: Obj) -> Obj:
     """Multiset difference y - x; error when x is not a sub-multiset."""
-    cy, cx = y.counter(), x.counter()
-    if any(cx[v] > cy.get(v, 0) for v in cx):
-        raise ValueError("not a sub-multiset")
-    rest = cy - cx
-    return Obj(tuple(sorted(rest.elements())))
+    rest = list(y.summands)
+    for v in x.summands:
+        if v not in rest:
+            raise ValueError("not a sub-multiset")
+        rest.remove(v)
+    return Obj(tuple(sorted(rest)))
 
 
 def is_iso(f: Mor) -> bool:
@@ -521,13 +526,3 @@ def random_morphism_rng(cat: MeshCategory, x: Obj, y: Obj, rng) -> Mor:
 
 def sigma_obj(cat: MeshCategory, x: Obj) -> Obj:
     return Obj(tuple(cat.sigma_vertex(v) for v in x.summands))
-
-
-def sigma_mor(f: Mor) -> Mor:
-    cat = f.cat
-    out = Mor(cat, sigma_obj(cat, f.dom), sigma_obj(cat, f.cod))
-    for (i, j), vec in f.blocks.items():
-        u = f.dom.summands[j]
-        v = f.cod.summands[i]
-        out.set_block(i, j, cat.sigma_map[(u, v)] @ vec)
-    return out

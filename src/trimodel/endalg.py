@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import addcat as ac
-from .addcat import Mor, Obj
+from .addcat import Obj
 from .exactlin import array_kernel, batch_rank, fast_rank
 from .report import Report
 from .rigidmodel import RigidStructure
@@ -39,9 +39,6 @@ class AlgebraPres:
     targets: list[str]
     structure: np.ndarray        # (dim, dim, dim)
     unit: np.ndarray             # (dim,)
-
-    def multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", x, y, self.structure)
 
 
 @dataclass
@@ -121,12 +118,6 @@ def induced_tensor(rigid: RigidStructure, x: Obj, y: Obj) -> np.ndarray:
     """Hom(T, -) on Hom(x, y) as a tensor: slice c is the intertwiner
     Hom(T, x) -> Hom(T, y) of the c-th elementary morphism."""
     return ac.left_mul_tensor(rigid.cat, Obj(rigid.t_ind), x, y)
-
-
-def induced_map_matrix(rigid: RigidStructure, f: Mor) -> np.ndarray:
-    """The intertwiner Hom(T, f) on the carriers."""
-    return ac.apply_tensor(induced_tensor(rigid, f.dom, f.cod),
-                           ac.mor_to_vec(f)[None], rigid.cat.field.p)[0]
 
 
 def _pair_data(rigid: RigidStructure, mods: dict, u: str, v: str) -> dict:
@@ -214,28 +205,4 @@ def check_equivalence(rigid: RigidStructure, pair_total: int = 2,
     rep.add("equivalence-explicit-assembly", not bad_asm,
             f"{min(explicit_pairs, len(objs) ** 2)} sampled pairs assembled "
             "in full", bad_asm[:3] or None)
-    return rep
-
-
-def essential_surjectivity_probe(rigid: RigidStructure, max_summands: int = 2,
-                                 budget: int = 50, seed: int = 0) -> Report:
-    """Optional bounded probe: modules of arbitrary objects are isomorphic
-    to modules of cofibrant ones (via the cofibrant replacement)."""
-    cat = rigid.cat
-    rng = np.random.default_rng(seed)
-    rep = Report("essential-surjectivity", {
-        "field_char": cat.field.p, "T": list(rigid.t_ind),
-        "max_summands": max_summands, "budget": budget, "seed": seed,
-    })
-    from .oracle import objects_up_to
-    pool = objects_up_to(cat, max_summands)
-    bad = []
-    for _ in range(budget):
-        x = pool[int(rng.integers(0, len(pool)))]
-        qx, _ = rigid.cofibrant_replacement(x)
-        iso = find_module_iso(rigid, module_of(rigid, qx), module_of(rigid, x))
-        if iso is None:
-            bad.append({"X": list(x.summands), "QX": list(qx.summands)})
-    rep.add("essential-surjectivity-probe", not bad,
-            f"{budget} draws", bad[:3] or None)
     return rep

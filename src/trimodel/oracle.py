@@ -8,17 +8,20 @@ contains that kernel.  The homotopy-weakened variants enlarge psi by the
 ideal subspace on the relevant edge.  Both maps are built once per (ell, r)
 whatever the modes, and every mode reads the same identity,
 dim(ker lam & im M) = rank M - rank(lam M), so no kernel is computed.
-Enumeration is reserved for the quantifier over the generating family
-(morphisms from sums of T vertices to cofibrant objects).
+Plain lifting is ranked first; as im psi lies in im M, it decides every
+homotopy mode when it holds, and the ideal columns are built only when it
+fails.  Enumeration is reserved for the quantifier over the generating
+family (morphisms from sums of T vertices to cofibrant objects).
 
 The generating-family oracle decides many morphisms at once: it walks the
 generator pairs in family order and, per pair, ranks the lifting matrices
 of every morphism still lifting against every generator row together (one
-``batch_rank`` call per matrix shape), dropping a morphism at its first
-failing pair.  The lifting matrices are contractions of the Hom-functor
-tensors of ``addcat``: ``left_mul_tensor`` for Hom(w, r) over the tested
-morphisms r and ``right_mul_tensor`` for Hom(g, z) over the generator rows
-g; neither is kept beyond the call.  The lemma suite runs one Hom space at
+``batch_rank`` call per matrix shape, in stacks of at most ``STACK_CELLS``
+cells), dropping a morphism at its first failing pair.  The lifting
+matrices are contractions of the Hom-functor tensors of ``addcat``:
+``left_mul_tensor`` for Hom(w, r) over the tested morphisms r and
+``right_mul_tensor`` for Hom(g, z) over the generator rows g; neither is
+kept beyond the call.  The lemma suite runs one Hom space at
 a time: every morphism of Hom(x, y) is a row of a coefficient array, ideal
 membership and solvability of the homotopy correction are products with
 annihilators of row spaces, Hom(T, -) vanishes on a row iff the row's
@@ -82,17 +85,23 @@ def _square_lifting(rigid: RigidStructure, ell: Mor, r: Mor,
     ("htp_bottom").  Every square lifts iff ker lam lies in im M, that is
     iff dim(ker lam & im M) = rank M - rank(lam M) is dim ker lam.  As
     lam psi = 0, lam M has the rank of lam times the ideal columns, and
-    rank psi alone decides the plain mode."""
+    rank psi alone decides the plain mode.  im psi lies in ker lam and in
+    im M, so a mode lifts whenever the plain one does: psi is ranked first,
+    once, and the ideal columns are built only when plain lifting fails."""
     for mode in modes:
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
     p = rigid.cat.field.p
     lam, psi = _lifting_maps(rigid, ell, r)
     square_dim = lam.shape[1] - fast_rank(lam, p)
+    plain = None
 
     def lifts(mode: str) -> bool:
-        if mode == "plain":     # M = psi, and lam psi = 0
-            return fast_rank(psi, p) == square_dim
+        nonlocal plain
+        if plain is None:       # M = psi, and lam psi = 0
+            plain = fast_rank(psi, p) == square_dim
+        if mode == "plain" or plain:
+            return plain
         top = mode == "htp_top"
         w = rigid.ideal_span_matrix("perp", ell.dom if top else ell.cod,
                                     r.dom if top else r.cod)
@@ -213,6 +222,12 @@ def _generator_rows(rigid: RigidStructure, mult_bound: int,
     return out
 
 
+# cells of the lifting matrices _generating_failures ranks together at most
+# (more only when one morphism against one generator row is larger): about
+# 15 times the largest stack of the p = 2 lemma suite, 8 MB as int16
+STACK_CELLS = 1 << 22
+
+
 def _generating_failures(rigid: RigidStructure, spaces, mult_bound: int,
                          a_total: int | None):
     """For every (x, y, coeffs) of spaces, one int per row of coeffs: the
@@ -224,9 +239,9 @@ def _generating_failures(rigid: RigidStructure, spaces, mult_bound: int,
     square map lam = [Hom(R, r) | -Hom(g, Y)], that is iff rank psi +
     rank lam = dim Hom(R, X) + dim Hom(A, Y).  Per pair, lam and the
     transpose of psi for every live morphism and every generator row are
-    ranked together, one ``batch_rank`` call per matrix shape; what is built
-    for a pair is dropped after it, except the Hom(w, -) tensors of live
-    spaces."""
+    ranked together, one ``batch_rank`` call per matrix shape, in stacks of
+    at most ``STACK_CELLS`` cells; what is built for a pair is dropped after
+    it, except the Hom(w, -) tensors of live spaces."""
     p = rigid.cat.field.p
     gens = _generator_rows(rigid, mult_bound, a_total)
     fails = [np.full(len(c), len(gens), dtype=np.int64) for _, _, c in spaces]
@@ -256,30 +271,68 @@ def _generating_failures(rigid: RigidStructure, spaces, mult_bound: int,
                     rigid.cat, gen.r_obj, gen.a_obj, z), gen.rows, p)
             return hit
 
-        owners, lams, psis = [], [], []
+        failed: dict[int, list] = {}    # live positions, per space
+        # stacks waiting to be ranked, and the (space, first morphism,
+        # generator rows per morphism) of each
+        lams, psis, owners = [], [], []
+        cells = 0
+
+        def rank_stacks() -> None:
+            ranks = ragged_rank(lams + psis, p)
+            for (s, m0, n), lam, r_lam, r_psi in zip(owners, lams, ranks,
+                                                     ranks[len(lams):]):
+                bad = np.flatnonzero(r_lam + r_psi != lam.shape[2])
+                if len(bad):
+                    failed.setdefault(s, []).append(m0 + bad // n)
+            for stack in (lams, psis, owners):
+                stack.clear()
+
         for s, idx in alive.items():
             x, y, coeffs = spaces[s]
             rg_x, rg_y = rg_of(x), rg_of(y)
-            if rg_x.shape[1] + rg_y.shape[2] == 0:
+            cols = rg_x.shape[1] + rg_y.shape[2]
+            if cols == 0:
                 continue
             c = coeffs[idx]
-            m = len(c)
-            # matrix i * n_g + j: live morphism i against generator row j
-            lams.append(np.concatenate(
-                [np.repeat(hom_stack(s, gen.r_obj, c), n_g, axis=0),
-                 np.tile(-rg_y % p, (m, 1, 1))], axis=2, dtype=np.int16))
-            psis.append(np.concatenate(
-                [np.tile(rg_x.transpose(0, 2, 1), (m, 1, 1)),
-                 np.repeat(hom_stack(s, gen.a_obj, c).transpose(0, 2, 1),
-                           n_g, axis=0)], axis=2, dtype=np.int16))
-            owners.append(s)
-        ranks = ragged_rank(lams + psis, p)
-        for s, lam, r_lam, r_psi in zip(owners, lams, ranks,
-                                        ranks[len(lams):]):
-            lifts = (r_lam + r_psi == lam.shape[2]).reshape(-1, n_g).all(
-                axis=1)
-            fails[s][alive[s][~lifts]] = k
-            alive[s] = alive[s][lifts]
+            neg_rg_y, rg_x_t = -rg_y % p, rg_x.transpose(0, 2, 1)
+            # lam: dim Hom(R, Y) rows, psi: dim Hom(A, X); columns split
+            # after dim Hom(R, X)
+            rows_lam, rows_psi = rg_y.shape[1], rg_x.shape[2]
+            split = rg_x.shape[1]
+            size = (rows_lam + rows_psi) * cols    # cells a pair
+            # pairs (morphism, generator row) of one stack: whole morphisms
+            # when a morphism's rows fit, else slices of one morphism's rows
+            per = max(1, STACK_CELLS // max(size, 1))
+            step = per // n_g
+            blocks = ((m0, min(m0 + step, len(c)), 0, n_g)
+                      for m0 in range(0, len(c), step)) if step else \
+                ((m0, m0 + 1, g0, min(g0 + per, n_g))
+                 for m0 in range(len(c)) for g0 in range(0, n_g, per))
+            for m0, m1, g0, g1 in blocks:
+                m, n = m1 - m0, g1 - g0
+                if lams and cells + m * n * size > STACK_CELLS:
+                    rank_stacks()
+                    cells = 0
+                # matrix i * n + j: morphism m0 + i against row g0 + j
+                lam = np.empty((m * n, rows_lam, cols), dtype=np.int16)
+                grid = lam.reshape(m, n, rows_lam, cols)
+                grid[..., :split] = hom_stack(s, gen.r_obj, c[m0:m1])[:, None]
+                grid[..., split:] = neg_rg_y[g0:g1]
+                psi = np.empty((m * n, rows_psi, cols), dtype=np.int16)
+                grid = psi.reshape(m, n, rows_psi, cols)
+                grid[..., :split] = rg_x_t[g0:g1]
+                grid[..., split:] = hom_stack(
+                    s, gen.a_obj, c[m0:m1]).transpose(0, 2, 1)[:, None]
+                lams.append(lam)
+                psis.append(psi)
+                owners.append((s, m0, n))
+                cells += m * n * size
+        rank_stacks()
+        for s, bad in failed.items():
+            ok = np.ones(len(alive[s]), dtype=bool)
+            ok[np.concatenate(bad)] = False
+            fails[s][alive[s][~ok]] = k
+            alive[s] = alive[s][ok]
             if not len(alive[s]):
                 del alive[s]
                 tensors.pop(s, None)

@@ -9,15 +9,17 @@ sums of their vertices, so Hom(T, -) is built once, not vertex by vertex;
 
   * ideals of morphisms factoring through a subcategory, decided blockwise
     by span membership per vertex pair;
-  * left/right approximations (tautological and greedily minimized, the
-    minimization done on the matrix of Hom(U, -) or Hom(-, U) with one
-    column group per summand);
+  * left/right approximations: tautological, and minimal ones, which are
+    additive: a vertex's is greedily minimized on the matrix of Hom(U, -)
+    or Hom(-, U) with one column group per summand, and a sum's is
+    assembled from those of its summand vertices;
   * the four morphism classes: weak equivalences (Hom(T, -) applied to the
     morphism is bijective), fibrations (Hom(sigma T, -) surjective),
     trivial fibrations (both), and weak cofibrations (split monos with
-    complement in add sigma T); ``class_masks`` gives the first two flags
-    for whole Hom spaces at once, through ``addcat.left_mul_tensor`` and
-    batched ranks;
+    complement in add sigma T); ``classify`` builds a Hom-functor matrix
+    only where the dimensions leave the verdict open, and ``class_masks``
+    gives the first two flags for whole Hom spaces at once, through
+    ``addcat.left_mul_tensor`` and batched ranks;
   * cofibrant objects: the cones of morphisms between sums of T vertices,
     defined here by the approximation criterion (the minimal left
     perp-approximation of an indecomposable lands in add sigma T); cones
@@ -29,7 +31,8 @@ sums of their vertices, so Hom(T, -) is built once, not vertex by vertex;
     matrices such as [f a], [1; 0] and [[1, h], [1, 0]], assembled by
     ``addcat.block_mor``;
   * both factorizations and cofibrant replacements, each returned with
-    certified factors and exact composite equality.  The domain of the
+    certified factors (of ``factor_htpcof_wfib`` the second, see
+    ``FactorPair``) and exact composite equality.  The domain of the
     replacement Q(X) -> X is the minimal right approximation of X by the
     cofibrant indecomposables ("TS"), built summand by summand; its
     morphism is the first trivial fibration in ``addcat.coeff_chunks``
@@ -94,9 +97,14 @@ class Classification:
 
 @dataclass
 class FactorPair:
+    """f = second . first, with the classification of each certified
+    factor.  ``factor_htpcof_wfib`` certifies only its second factor: its
+    first is a homotopy cofibration, a lifting property up to homotopy that
+    ``classify`` does not decide, so first_class is None there."""
+
     first: Mor
     second: Mor
-    first_class: Classification
+    first_class: Classification | None
     second_class: Classification
 
 
@@ -199,20 +207,6 @@ class RigidStructure:
             for (i, j), vec in f.blocks.items()
         )
 
-    def ideal_witness(self, f: Mor, key):
-        """(lam, h) with h . lam = f through the tautological left
-        approximation lam of dom f, or None when f is not in the ideal."""
-        if not self.ideal_membership(f, key):
-            return None
-        lam = self.tautological_approx(f.dom, "left", key)
-        a = ac.right_mul_matrix(lam, f.cod)
-        x = array_solve(a, ac.mor_to_vec(f), self.cat.field.p)
-        if x is None:
-            raise AssertionError("ideal member failed to factor through "
-                                 "the tautological approximation")
-        h = ac.vec_to_mor(self.cat, lam.cod, f.cod, x)
-        return lam, h
-
     def ideal_span_matrix(self, key, x: Obj, y: Obj) -> np.ndarray:
         """Columns spanning the ideal subspace of Hom(x, y), blockwise."""
         cat = self.cat
@@ -289,24 +283,53 @@ class RigidStructure:
         return fast_rank(m, self.cat.field.p) == m.shape[0]
 
     def approx(self, x: Obj, side: str, key) -> Mor:
-        """Minimal left/right approximation of x by the subcategory.
+        """Minimal left/right approximation of x by the subcategory: the
+        tautological bundle of a vertex greedily minimized (``_minimize``),
+        the sum of those of the summand vertices for a sum (``_approx``).
+        Memoized per object for a named subcategory; callers must not mutate
+        the result."""
+        return self._approx(x, side, key)
 
-        The tautological bundle is the correctness anchor; minimization drops
-        summand copies greedily in vertex-then-copy order while the
-        approximation property survives.  Minimal approximations for a named
-        subcategory are memoized per object; callers must not mutate them.
-        """
-        f = self.tautological_approx(x, side, key)
-        if not isinstance(key, str):
-            return self._minimize(f, side, key)
-        ck = (x.summands, side, key)
+    def _approx(self, x: Obj, side: str, key) -> Mor:
+        """``approx``, which calls it for the summand vertices of a sum too.
+
+        The tautological bundle of x holds copy (u, j, k) for class k of
+        Hom(u, x_j) (right) or Hom(x_j, u) (left), in that order, and the
+        copy touches only x_j.  So Hom(U, f) (or Hom(f, U)) is block
+        diagonal over the summands of x, and the greedy pass drops copies
+        block by block (the argument of ``classify``): the kept copies are
+        those of each vertex approximation, ordered by (u, j, k)."""
+        ck = (x.summands, side, key) if isinstance(key, str) else None
         hit = self._approx_cache.get(ck)
-        if hit is None:
-            hit = self._approx_cache[ck] = self._minimize(f, side, key)
+        if hit is not None:
+            return hit
+        if len(x) == 1:
+            hit = self._minimize(self.tautological_approx(x, side, key),
+                                 side, key)
+        else:
+            right = side == "right"
+            parts = [self._approx(Obj((v,)), side, key) for v in x.summands]
+            ends = [(part.dom if right else part.cod).summands
+                    for part in parts]
+            rank = {u: n for n, u in enumerate(self.subcat(key))}
+            copies = list(enumerate(sorted(
+                ((j, c) for j, end in enumerate(ends)
+                 for c in range(len(end))),
+                key=lambda jc: rank[ends[jc[0]][jc[1]]])))
+            b = Obj(tuple(ends[j][c] for _, (j, c) in copies))
+            if right:
+                hit = Mor(self.cat, b, x, {(j, n): parts[j].blocks[(0, c)]
+                                           for n, (j, c) in copies})
+            else:
+                hit = Mor(self.cat, x, b, {(n, j): parts[j].blocks[(c, 0)]
+                                           for n, (j, c) in copies})
+        if ck is not None:
+            self._approx_cache[ck] = hit
         return hit
 
     def _minimize(self, f: Mor, side: str, key) -> Mor:
-        """Greedy minimization of an approximation f, on one matrix.
+        """Greedy minimization of an approximation f (of a vertex, from
+        ``_approx``), on one matrix.
 
         Hom(U, f) (right side) or Hom(f, U) (left side) has one column group
         per summand of the approximating object, so dropping summand k
@@ -353,13 +376,11 @@ class RigidStructure:
         the r_t and c_t have equal sums.  Dropping a summand of the
         approximating object deletes its columns from the blocks that hold
         them and leaves the matrix block diagonal, so the same holds for the
-        approximation tests of ``is_approximation`` and ``_minimize``."""
-        cat = self.cat
-        p = cat.field.p
-        m = ac.left_mul_matrix(f, Obj(self.t_ind))
-        weq = m.shape[0] == m.shape[1] and fast_rank(m, p) == m.shape[0]
-        m = ac.left_mul_matrix(f, Obj(self.sigma_t_ind))
-        fib = fast_rank(m, p) == m.shape[0]
+        approximation tests of ``is_approximation`` and ``_minimize``.
+        A matrix is built only where its dimensions leave the verdict open
+        (``_full_row_rank``)."""
+        weq = self._full_row_rank(f, Obj(self.t_ind), square=True)
+        fib = self._full_row_rank(f, Obj(self.sigma_t_ind), square=False)
         retraction = None
         complement = self.split_mono_complement(f.dom, f.cod)
         if complement is not None:
@@ -369,16 +390,32 @@ class RigidStructure:
         return Classification(weq, fib, weq and fib, retraction is not None,
                               retraction, complement)
 
+    def _full_row_rank(self, f: Mor, w: Obj, square: bool) -> bool:
+        """Whether Hom(w, f) has full row rank (and is square, if asked).
+        A rank is at most the number of columns, so no matrix is built when
+        there are no rows, fewer columns than rows, or (square) unequal
+        counts."""
+        cat = self.cat
+        rows = ac.hom_space_dim(cat, w, f.cod)
+        cols = ac.hom_space_dim(cat, w, f.dom)
+        if rows == 0 and (cols == 0 or not square):
+            return True
+        if cols < rows or (square and cols != rows):
+            return False
+        return fast_rank(ac.left_mul_matrix(f, w), cat.field.p) == rows
+
     def split_mono_complement(self, x: Obj, y: Obj) -> Obj | None:
         """y - x when a morphism x -> y may be a weak cofibration, else None.
 
         Split monos force a sub-multiset codomain (Krull-Schmidt), and the
         complement must lie in add sigma T; this depends on (x, y) alone and
         prunes the retraction solve."""
-        cx, cy = x.counter(), y.counter()
-        if any(cx[v] > cy.get(v, 0) for v in cx):
+        if len(x) > len(y):
             return None
-        rest = ac.multiset_sub(y, x)
+        try:
+            rest = ac.multiset_sub(y, x)
+        except ValueError:
+            return None
         if any(v not in self.sigma_t_ind for v in rest.summands):
             return None
         return rest
@@ -546,7 +583,8 @@ class RigidStructure:
 
     def factor_htpcof_wfib(self, f: Mor) -> FactorPair:
         """f = [q 0] . [ft; eps] through a cofibrant replacement of the
-        codomain; needs a cofibrant domain."""
+        codomain; needs a cofibrant domain.  Only the second factor is
+        certified (``FactorPair``)."""
         cat = self.cat
         if not self.is_cofibrant(f.dom):
             raise ValueError("domain not cofibrant")
@@ -571,11 +609,10 @@ class RigidStructure:
         first = ac.block_mor(cat, [qy_obj, eps.cod], [f.dom], [[ft], [eps]])
         second = ac.block_mor(cat, [f.cod], [qy_obj, eps.cod], [[q, None]])
         assert ac.compose(second, first) == f
-        c1 = self.classify(first)
         c2 = self.classify(second)
         if not c2.wfib:
             raise AssertionError("second factor failed certification")
-        return FactorPair(first, second, c1, c2)
+        return FactorPair(first, second, None, c2)
 
     def cofibrant_replacement(self, x: Obj) -> tuple[Obj, Mor]:
         """Minimal cofibrant object with a certified trivial fibration onto x.

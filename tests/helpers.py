@@ -1,0 +1,70 @@
+"""Constructions that only the tests use: independent oracles and small
+probes kept out of the package."""
+
+import numpy as np
+
+from trimodel import addcat as ac
+from trimodel import endalg as ea
+from trimodel.exactlin import array_solve
+from trimodel.oracle import objects_up_to
+from trimodel.report import Report
+
+
+def sigma_mor(f: ac.Mor) -> ac.Mor:
+    """The suspension of f, block by block through the basis maps."""
+    cat = f.cat
+    out = ac.Mor(cat, ac.sigma_obj(cat, f.dom), ac.sigma_obj(cat, f.cod))
+    for (i, j), vec in f.blocks.items():
+        u = f.dom.summands[j]
+        v = f.cod.summands[i]
+        out.set_block(i, j, cat.sigma_map[(u, v)] @ vec)
+    return out
+
+
+def ideal_witness(rigid, f: ac.Mor, key):
+    """(lam, h) with h . lam = f through the tautological left
+    approximation lam of dom f, or None when f is not in the ideal."""
+    if not rigid.ideal_membership(f, key):
+        return None
+    lam = rigid.tautological_approx(f.dom, "left", key)
+    a = ac.right_mul_matrix(lam, f.cod)
+    x = array_solve(a, ac.mor_to_vec(f), rigid.cat.field.p)
+    if x is None:
+        raise AssertionError("ideal member failed to factor through "
+                             "the tautological approximation")
+    return lam, ac.vec_to_mor(rigid.cat, lam.cod, f.cod, x)
+
+
+def multiply(alg: ea.AlgebraPres, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x . y in End(T) from the structure constants."""
+    return np.einsum("i,j,ijk->k", x, y, alg.structure)
+
+
+def induced_map_matrix(rigid, f: ac.Mor) -> np.ndarray:
+    """The intertwiner Hom(T, f) on the carriers."""
+    return ac.apply_tensor(ea.induced_tensor(rigid, f.dom, f.cod),
+                           ac.mor_to_vec(f)[None], rigid.cat.field.p)[0]
+
+
+def essential_surjectivity_probe(rigid, max_summands: int = 2,
+                                 budget: int = 50, seed: int = 0) -> Report:
+    """Bounded probe: modules of arbitrary objects are isomorphic to modules
+    of cofibrant ones (via the cofibrant replacement)."""
+    cat = rigid.cat
+    rng = np.random.default_rng(seed)
+    rep = Report("essential-surjectivity", {
+        "field_char": cat.field.p, "T": list(rigid.t_ind),
+        "max_summands": max_summands, "budget": budget, "seed": seed,
+    })
+    pool = objects_up_to(cat, max_summands)
+    bad = []
+    for _ in range(budget):
+        x = pool[int(rng.integers(0, len(pool)))]
+        qx, _ = rigid.cofibrant_replacement(x)
+        iso = ea.find_module_iso(rigid, ea.module_of(rigid, qx),
+                                 ea.module_of(rigid, x))
+        if iso is None:
+            bad.append({"X": list(x.summands), "QX": list(qx.summands)})
+    rep.add("essential-surjectivity-probe", not bad,
+            f"{budget} draws", bad[:3] or None)
+    return rep

@@ -7,6 +7,8 @@ from trimodel import addcat as ac
 from trimodel import meshcat as mc
 from trimodel.exactlin import PrimeField
 
+from helpers import sigma_mor
+
 
 @pytest.fixture(scope="module")
 def cat():
@@ -211,7 +213,7 @@ def test_sigma_obj_and_mor(cat):
     assert ac.sigma_obj(cat, ac.obj()) == ac.obj()
     assert ac.sigma_obj(cat, ac.obj("13")) == ac.obj("25")
     f = ac.elementary(cat, ac.obj("13"), ac.obj("14"), 0, 0, 0)
-    sf = ac.sigma_mor(f)
+    sf = sigma_mor(f)
     assert sf.dom == ac.obj("25") and sf.cod == ac.obj("35")
 
 
@@ -221,8 +223,8 @@ def test_sigma_mor_functorial_sampled(cat):
     for _ in range(30):
         f = ac.random_morphism_rng(cat, x, y, rng)
         g = ac.random_morphism_rng(cat, y, z, rng)
-        assert ac.sigma_mor(ac.compose(g, f)) == \
-            ac.compose(ac.sigma_mor(g), ac.sigma_mor(f))
+        assert sigma_mor(ac.compose(g, f)) == \
+            ac.compose(sigma_mor(g), sigma_mor(f))
 
 
 def test_mul_matrices_match_composition(cat):
@@ -296,3 +298,45 @@ def test_block_mor_mismatch_raises(cat):
     other = mc.build_type_a(2, PrimeField(2))
     with pytest.raises(ValueError):
         ac.block_mor(other, [y], [x], [[f]])        # another category
+
+
+def _kernel_cases():
+    """(category, rigid set) on A3 and D4 at p = 2 and 3."""
+    for p in (2, 3):
+        field = PrimeField(p)
+        yield pytest.param(mc.build_type_a(3, field), ("13", "15", "35"),
+                           id=f"A3-p{p}")
+        yield pytest.param(mc.build_dynkin(mc.dynkin_d4_subspace(), field),
+                           ("M0001", "M0010", "SP1"), id=f"D4-p{p}")
+
+
+@pytest.mark.parametrize("cat_k,t_set", _kernel_cases())
+def test_mul_matrices_match_tensor_contraction(cat_k, t_set):
+    """left_mul_matrix and right_mul_matrix, one product per block and
+    summand, against the contraction of the whole-space tensors, with w
+    (and z) T, sigma T, sums with a repeated summand and random sums, and x,
+    y random sums of up to three summands."""
+    from trimodel.oracle import objects_up_to
+    p = cat_k.field.p
+    t = ac.Obj(t_set)
+    st = ac.sigma_obj(cat_k, t)
+    pool = objects_up_to(cat_k, 3)
+    rng = np.random.default_rng(p)
+    repeated = zero_block = 0
+    for _ in range(150):
+        x, y, extra = (pool[int(rng.integers(0, len(pool)))]
+                       for _ in range(3))
+        twice = ac.dsum_obj(extra, extra)
+        f = ac.random_morphism_rng(cat_k, x, y, rng)
+        row = ac.mor_to_vec(f)[None]
+        for w in (t, st, twice, extra):
+            got = ac.left_mul_matrix(f, w)
+            want = ac.apply_tensor(ac.left_mul_tensor(cat_k, w, x, y), row, p)
+            assert np.array_equal(got, want[0]), (w, f)
+            got = ac.right_mul_matrix(f, w)
+            want = ac.apply_tensor(ac.right_mul_tensor(cat_k, x, y, w), row, p)
+            assert np.array_equal(got, want[0]), (w, f)
+            lay = ac.hom_layout(cat_k, w, x)[0]
+            zero_block += 0 < len(lay) < len(w) * len(x)
+        repeated += len(set(x.summands)) < len(x) and not f.is_zero()
+    assert repeated and zero_block

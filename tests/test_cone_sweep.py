@@ -24,6 +24,8 @@ from trimodel import rigidmodel as rm
 from trimodel.addcat import Mor, Obj
 from trimodel.exactlin import PrimeField, fast_rank
 
+from helpers import sigma_mor
+
 
 def _multisets(items, mult_bound, total_bound):
     """All multisets over items with the given bounds, ordered by size."""
@@ -119,7 +121,7 @@ class ConeSweep:
         covariant computation."""
         cat = self.cat
         p = cat.field.p
-        salpha = ac.sigma_mor(alpha)
+        salpha = sigma_mor(alpha)
         fp = np.zeros(len(cat.verts), dtype=np.int64)
         for wi, w in enumerate(cat.verts):
             wo = Obj((w,))

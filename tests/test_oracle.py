@@ -252,3 +252,57 @@ def test_objects_up_to(cat):
     objs = oracle.objects_up_to(cat, 2)
     assert len(objs) == 1 + 5 + 15
     assert objs[0] == ac.obj()
+
+
+def test_ideal_columns_only_when_plain_lifting_fails(monkeypatch):
+    """im psi lies in the square space and in im M, so a homotopy mode lifts
+    whenever the plain one does: the perp ideal is built only when plain
+    lifting fails, and the homotopy modes still lift where it fails."""
+    cat3 = mc.build_type_a(3, PrimeField(2))
+    pool = oracle.objects_up_to(cat3, 2)
+    rng = np.random.default_rng(8)
+    rescued = {"htp_top": 0, "htp_bottom": 0}
+    for t_set in rm.all_rigid_subsets(cat3)[::6]:
+        rigid3 = rm.build_rigid(cat3, t_set)
+        span = rigid3.ideal_span_matrix
+        calls = []
+        monkeypatch.setattr(rigid3, "ideal_span_matrix", lambda *a: (
+            calls.append(a) or span(*a)))
+        for _ in range(150):
+            ell, r = (ac.random_morphism_rng(
+                cat3, pool[int(rng.integers(0, len(pool)))],
+                pool[int(rng.integers(0, len(pool)))], rng)
+                for _ in range(2))
+            calls.clear()
+            rep = oracle.lifting_report(rigid3, ell, r)
+            assert len(calls) == (0 if rep.plain else 2)
+            for mode in rescued:
+                rescued[mode] += not rep.plain and getattr(rep, mode)
+    assert all(rescued.values()), rescued
+
+
+@pytest.mark.parametrize("p,rank,t_set,cells", [
+    (2, 3, ("13", "15", "35"), 4096),
+    (3, 2, ("13",), 256),
+])
+def test_generating_failures_in_small_stacks(monkeypatch, p, rank, t_set,
+                                             cells):
+    """Stacks under a small cell budget, which splits the morphisms of a
+    space and the generator rows of one morphism, give the failures of one
+    stack per generator pair."""
+    cat_k = mc.build_type_a(rank, PrimeField(p))
+    rigid_k = rm.build_rigid(cat_k, t_set)
+    spaces, _ = oracle._hom_spaces(rigid_k, oracle.objects_up_to(cat_k, 2),
+                                   np.random.default_rng(0))
+    ragged_rank = oracle.ragged_rank
+    calls = []
+    monkeypatch.setattr(oracle, "ragged_rank", lambda *a: (
+        calls.append(1) or ragged_rank(*a)))
+    want = oracle._generating_failures(rigid_k, spaces, 2, 2)
+    whole = len(calls)
+    monkeypatch.setattr(oracle, "STACK_CELLS", cells)
+    got = oracle._generating_failures(rigid_k, spaces, 2, 2)
+    assert len(calls) - whole > whole
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert any(np.any(f < len(oracle._generator_rows(rigid_k, 2, 2)))
+               for f in want)

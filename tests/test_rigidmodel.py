@@ -8,6 +8,8 @@ from trimodel import meshcat as mc
 from trimodel import rigidmodel as rm
 from trimodel.exactlin import PrimeField, fast_rank
 
+from helpers import ideal_witness
+
 
 @pytest.fixture(scope="module")
 def cat():
@@ -59,7 +61,7 @@ def test_ideal_membership_through_perp_object(cat, rigid):
     # 25 lies in the perpendicular subcategory, so its identity is in the ideal
     id25 = ac.identity(cat, ac.obj("25"))
     assert rigid.ideal_membership(id25, "perp")
-    lam, h = rigid.ideal_witness(id25, "perp")
+    lam, h = ideal_witness(rigid, id25, "perp")
     assert ac.compose(h, lam) == id25
 
 
@@ -695,3 +697,97 @@ def test_square_sum_with_a_non_square_vertex_is_not_weq():
     assert not rigid.classify(f).weq
     (weq, _), = rigid.class_masks([(x, y, ac.mor_to_vec(f)[None])])
     assert not weq[0]
+
+
+def bundle_greedy(rigid, x, side, key):
+    """The tautological approximation of x minimized as one bundle: one
+    forward pass drops each summand copy whose drop keeps the whole
+    approximation property."""
+    f = rigid.tautological_approx(x, side, key)
+    k = 0
+    while k < len(f.dom if side == "right" else f.cod):
+        g = _drop_summand(f, side, k)
+        if rigid.is_approximation(g, side, key):
+            f = g
+        else:
+            k += 1
+    return f
+
+
+def _additive_cases():
+    f2, f3 = PrimeField(2), PrimeField(3)
+    a2, a3 = mc.build_type_a(2, f2), mc.build_type_a(3, f2)
+    for t_set in rm.all_rigid_subsets(a2):
+        yield pytest.param(a2, t_set, id=f"A2-p2-{','.join(t_set)}")
+    for t_set in (("13",), ("13", "46"), ("13", "15", "35")):
+        yield pytest.param(a3, t_set, id=f"A3-p2-{','.join(t_set)}")
+    yield pytest.param(mc.build_type_a(3, f3), ("13", "35", "36"),
+                       id="A3-p3-13,35,36")
+    yield pytest.param(mc.build_dynkin(mc.dynkin_d4_subspace(), f2),
+                       ("M0001", "SP0"), id="D4-p2-M0001,SP0")
+
+
+@pytest.mark.parametrize("cat_k,t_set", _additive_cases())
+def test_additive_approx_matches_whole_bundle_greedy(cat_k, t_set):
+    """Every object of at most two summands and 40 drawn ts_list objects of
+    three or four, both sides, every named subcategory: the approximation
+    assembled from the summand vertices is the one the greedy pass over
+    the whole tautological bundle finds, with the same block order."""
+    from trimodel.oracle import objects_up_to
+    rigid = rm.build_rigid(cat_k, t_set)
+    big = [x for x in rigid.ts_list if len(x) > 2]
+    rng = np.random.default_rng(1)
+    drawn = [big[int(i)] for i in rng.integers(0, len(big), 40)] if big \
+        else []
+    for x in objects_up_to(cat_k, 2) + drawn:
+        for side in ("left", "right"):
+            for key in ("T", "sigmaT", "perp", "TS"):
+                got = rigid.approx(x, side, key)
+                want = bundle_greedy(rigid, x, side, key)
+                assert (got.dom, got.cod) == (want.dom, want.cod), \
+                    (x, side, key)
+                assert list(got.blocks) == list(want.blocks)
+                assert got == want
+
+
+def test_classify_builds_no_matrix_when_dimensions_decide(monkeypatch):
+    """Hom(T, f) is built only when dim Hom(T, X) = dim Hom(T, Y) > 0, and
+    Hom(sigma T, f) only when 0 < dim Hom(sigma T, Y) <= dim
+    Hom(sigma T, X); the flags are those of the per-vertex oracle either
+    way, on every morphism of every Hom space of at most two summands."""
+    from trimodel.oracle import objects_up_to
+    cat3 = mc.build_type_a(3, PrimeField(2))
+    rigid = rm.build_rigid(cat3, ["13", "15", "35"])
+    t, st = ac.obj(*rigid.t_ind), ac.obj(*rigid.sigma_t_ind)
+    left_mul = ac.left_mul_matrix
+    forbidden = []
+
+    def guarded(f, w):
+        assert w not in forbidden, (f, w)
+        return left_mul(f, w)
+
+    seen = set()
+    pool = objects_up_to(cat3, 2)
+    for x in pool:
+        for y in pool[::3]:
+            dims = [ac.hom_space_dim(cat3, w, z) for w in (t, st)
+                    for z in (x, y)]
+            weq_by_dims = dims[0] != dims[1] or dims[0] == 0
+            fib_by_dims = dims[3] == 0 or dims[2] < dims[3]
+            for f in ac.enumerate_morphisms(cat3, x, y, cap=2 ** 6):
+                want = per_vertex_classes(rigid, f)
+                forbidden[:] = [w for w, decided in ((t, weq_by_dims),
+                                                     (st, fib_by_dims))
+                                if decided]
+                monkeypatch.setattr(ac, "left_mul_matrix", guarded)
+                got = rigid.classify(f)
+                monkeypatch.setattr(ac, "left_mul_matrix", left_mul)
+                assert (got.weq, got.fib) == want, f
+                seen.update(name for name, hit in (
+                    ("weq: unequal dims", dims[0] != dims[1]),
+                    ("weq: both zero", dims[0] == dims[1] == 0),
+                    ("fib: zero rows", dims[3] == 0),
+                    ("fib: more rows than columns", 0 < dims[2] < dims[3]),
+                    ("both matrices built",
+                     not weq_by_dims and not fib_by_dims)) if hit)
+    assert len(seen) == 5, seen
