@@ -19,6 +19,12 @@ one product of the block vector with a composition tensor.
 
 The suspension acts summand-wise on objects and, via the basis maps computed
 by the mesh layer, linearly on blocks.
+
+Layouts (``hom_layout``) are memoized on the category, keyed by the two
+objects' summands.  The memo lasts until ``reset_layouts`` starts an empty
+one: ``rigidmodel.RigidStructure`` does so when it is built, so a sweep over
+rigid sets holds the layouts of one set at a time, not of every set it has
+seen.
 """
 
 from __future__ import annotations
@@ -221,6 +227,14 @@ def _block_keys(ny: int, nx: int) -> tuple:
     row; shared by every layout of that shape, which keeps the layout cache
     small."""
     return tuple((i, j) for i in range(ny) for j in range(nx))
+
+
+def reset_layouts(cat: MeshCategory) -> None:
+    """Start an empty layout memo on cat.  A layout depends only on its two
+    objects and the category's Hom dimensions, so a reset costs misses and
+    never changes a result; it frees the layouts of objects no later work
+    reads."""
+    cat._layout_cache = {}
 
 
 def _layout_entry(cat: MeshCategory, x: Obj, y: Obj) -> tuple:

@@ -54,7 +54,7 @@ def end_algebra(rigid: RigidStructure) -> AlgebraPres:
     basis_i, is column j of Hom(basis_i, T), the i-th slice of
     ``right_mul_tensor(T, T, T)``."""
     cat = rigid.cat
-    t = Obj(rigid.t_ind)
+    t = rigid.subcat_obj("T")
     layout, dim = ac.hom_layout(cat, t, t)
     labels, sources, targets = [], [], []
     for (i, j), _, d in layout:
@@ -72,7 +72,7 @@ def module_of(rigid: RigidStructure, x: Obj) -> ModuleRep:
     """The module Hom(T, x): basis element e of End(T) acts as
     precomposition Hom(e, x), a slice of ``right_mul_tensor(T, T, x)``."""
     cat = rigid.cat
-    t = Obj(rigid.t_ind)
+    t = rigid.subcat_obj("T")
     action = ac.right_mul_tensor(cat, t, t, x) % cat.field.p
     return ModuleRep(action.shape[1], action)
 
@@ -117,7 +117,7 @@ def find_module_iso(rigid: RigidStructure, m: ModuleRep, n: ModuleRep):
 def induced_tensor(rigid: RigidStructure, x: Obj, y: Obj) -> np.ndarray:
     """Hom(T, -) on Hom(x, y) as a tensor: slice c is the intertwiner
     Hom(T, x) -> Hom(T, y) of the c-th elementary morphism."""
-    return ac.left_mul_tensor(rigid.cat, Obj(rigid.t_ind), x, y)
+    return ac.left_mul_tensor(rigid.cat, rigid.subcat_obj("T"), x, y)
 
 
 def _pair_data(rigid: RigidStructure, mods: dict, u: str, v: str) -> dict:

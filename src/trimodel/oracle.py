@@ -688,7 +688,7 @@ def lemma_equivalence_suite(cat: MeshCategory, rigid: RigidStructure,
 
         in_ideal = _in_span(rigid.ideal_span_matrix("perp", x, y), coeffs, p)
         functor_zero = ~np.any(ac.apply_tensor(
-            ac.left_mul_tensor(cat, Obj(rigid.t_ind), x, y), coeffs, p),
+            ac.left_mul_tensor(cat, rigid.subcat_obj("T"), x, y), coeffs, p),
             axis=(1, 2))
         bad_a.extend(mor_to_json(mor(n))
                      for n in np.flatnonzero(in_ideal != functor_zero))

@@ -4,7 +4,8 @@ subcategory.
 Given a rigid set T of indecomposables in a mesh category, this module
 derives the whole verification surface.  T, sigma T and each named
 subcategory U (``subcat``) enter the Hom functors as objects, the direct
-sums of their vertices, so Hom(T, -) is built once, not vertex by vertex;
+sums of their vertices (``subcat_obj``, built once per structure), so
+Hom(T, -) is built once, not vertex by vertex;
 ``classify`` states why the verdicts are those of the vertices.
 
   * ideals of morphisms factoring through a subcategory, decided blockwise
@@ -41,6 +42,10 @@ sums of their vertices, so Hom(T, -) is built once, not vertex by vertex;
 Tautological and minimal approximations for the named subcategories and
 cofibrant replacements are memoized per object on the ``RigidStructure``,
 so they live and die with it; callers must not mutate what they return.
+So do the Hom layouts of ``addcat``: building a ``RigidStructure`` starts an
+empty layout memo on its category (``addcat.reset_layouts``), so a sweep
+holds one rigid set's layouts at a time.  Results never depend on it, as a
+layout is a function of its two objects.
 """
 
 from __future__ import annotations
@@ -123,6 +128,7 @@ class RigidStructure:
     """A rigid subcategory with everything the checks derive from it."""
 
     def __init__(self, cat: MeshCategory, t_ind, params: EnumParams | None = None):
+        ac.reset_layouts(cat)
         self.cat = cat
         self.params = params or EnumParams()
         self.t_ind = tuple(sorted(set(t_ind)))
@@ -140,6 +146,7 @@ class RigidStructure:
             u for u in cat.verts
             if all(cat.hom_dim(t, u) == 0 for t in self.t_ind)
         )
+        self._sum_cache: dict = {}
         self._ideal_cache: dict = {}
         self._taut_cache: dict = {}
         self._approx_cache: dict = {}
@@ -158,6 +165,17 @@ class RigidStructure:
                 raise ValueError(f"unknown subcategory spec {name!r}")
             return getattr(self, attr)
         return tuple(sorted(set(name)))
+
+    def subcat_obj(self, name) -> Obj:
+        """The direct sum of the subcategory's vertices, the object through
+        which Hom(U, -) and Hom(-, U) are built; one object per named
+        subcategory."""
+        if not isinstance(name, str):
+            return Obj(self.subcat(name))
+        hit = self._sum_cache.get(name)
+        if hit is None:
+            hit = self._sum_cache[name] = Obj(self.subcat(name))
+        return hit
 
     # -------------------------------------------------------------- ideals
 
@@ -266,7 +284,7 @@ class RigidStructure:
         cat = self.cat
         right = side == "right"
         a = f.dom if right else f.cod
-        uo = Obj(self.subcat(key))
+        uo = self.subcat_obj(key)
         if right:
             m = ac.left_mul_matrix(f, uo)
             layout = ac.hom_layout(cat, uo, a)[0]
@@ -379,8 +397,8 @@ class RigidStructure:
         approximation tests of ``is_approximation`` and ``_minimize``.
         A matrix is built only where its dimensions leave the verdict open
         (``_full_row_rank``)."""
-        weq = self._full_row_rank(f, Obj(self.t_ind), square=True)
-        fib = self._full_row_rank(f, Obj(self.sigma_t_ind), square=False)
+        weq = self._full_row_rank(f, self.subcat_obj("T"), square=True)
+        fib = self._full_row_rank(f, self.subcat_obj("sigmaT"), square=False)
         retraction = None
         complement = self.split_mono_complement(f.dom, f.cod)
         if complement is not None:
@@ -427,7 +445,7 @@ class RigidStructure:
         rank, Hom(sigma T, f) of full row rank; all of them, over all spaces,
         are ranked together."""
         p = self.cat.field.p
-        ws = (Obj(self.t_ind), Obj(self.sigma_t_ind))
+        ws = (self.subcat_obj("T"), self.subcat_obj("sigmaT"))
         mats = [ac.apply_tensor(ac.left_mul_tensor(self.cat, w, x, y),
                                 coeffs, p)
                 for x, y, coeffs in spaces for w in ws]

@@ -791,3 +791,59 @@ def test_classify_builds_no_matrix_when_dimensions_decide(monkeypatch):
                     ("both matrices built",
                      not weq_by_dims and not fib_by_dims)) if hit)
     assert len(seen) == 5, seen
+
+
+def _set_work(rigid):
+    """classify and approx work on every vertex of the category."""
+    for v in rigid.cat.verts:
+        x = ac.Obj((v,))
+        for side in ("left", "right"):
+            for key in ("T", "sigmaT"):
+                rigid.classify(rigid.approx(x, side, key))
+
+
+def test_layout_memo_holds_one_rigid_set_at_a_time():
+    """Every new RigidStructure starts an empty layout memo on its category:
+    over all 44 A3 rigid sets built one after another on one category, the
+    memo never holds an entry made during an earlier set's work, and it ends
+    the sweep no larger than one set's work makes it."""
+    cat3 = mc.build_type_a(3, PrimeField(2))
+    sets = rm.all_rigid_subsets(cat3)
+    assert len(sets) == 44
+    largest = 0
+    prev: dict = {}
+    for t_set in sets:
+        # prev keeps the earlier entries alive, so their ids stay unique
+        prev_ids = {id(v) for v in prev.values()}
+        rigid = rm.build_rigid(cat3, t_set)
+        memo = cat3._layout_cache
+        assert not prev_ids & {id(v) for v in memo.values()}, t_set
+        _set_work(rigid)
+        largest = max(largest, sum(id(v) not in prev_ids
+                                   for v in memo.values()))
+        prev = dict(memo)
+    assert 0 < len(cat3._layout_cache) <= largest
+
+
+@pytest.mark.parametrize("build,t_set,other", [
+    (lambda: mc.build_type_a(3, PrimeField(2)), ("13", "35"),
+     [("13",), ("14", "15"), ("13", "15", "35")]),
+    (lambda: mc.build_dynkin(mc.dynkin_d4_subspace(), PrimeField(2)),
+     ("M0001", "M0010", "SP1"), [("M0001", "SP0"), ("M0010",)]),
+], ids=["A3-p2-13,35", "D4-p2-M0001,M0010,SP1"])
+def test_axiom_report_same_on_cold_and_warm_layout_memo(build, t_set, other):
+    """The axiom suite's report is byte-identical on a fresh category and
+    after other rigid sets' work on the same category, with the memo then
+    holding their layouts, not the suite's own."""
+    from trimodel.oracle import run_axiom_suite
+    from trimodel.report import emit_report
+
+    cold_cat = build()
+    cold = emit_report(run_axiom_suite(
+        cold_cat, rm.build_rigid(cold_cat, t_set), budget=30), "json")
+    warm_cat = build()
+    rigid = rm.build_rigid(warm_cat, t_set)
+    for o in other:
+        _set_work(rm.build_rigid(warm_cat, o))
+    warm = emit_report(run_axiom_suite(warm_cat, rigid, budget=30), "json")
+    assert warm == cold
