@@ -249,8 +249,9 @@ def _layout_entry(cat: MeshCategory, x: Obj, y: Obj) -> tuple:
         return hit
     layout, offsets = [], []
     off = 0
+    dim_of, xs, ys = cat.hom_dims, x.summands, y.summands
     for ij in _block_keys(len(y), len(x)):
-        d = cat.hom_dim(x.summands[ij[1]], y.summands[ij[0]])
+        d = dim_of[xs[ij[1]], ys[ij[0]]]
         offsets.append(off if d else -1)
         if d:
             layout.append((ij, off, d))

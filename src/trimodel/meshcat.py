@@ -26,12 +26,17 @@ generate the ideal; so it is the basis of the full path enumeration (kept in
 the tests as the oracle).  A path b . a whose prefix b is not a basis class
 is a combination of later paths, so only basis classes need extending.
 
-``validate`` checks the mesh relations and associativity exhaustively.  The
-associativity equations of all source vertices are checked at once, with the
-source as a batch axis and each block padded only to the largest Hom
-dimension into its vertex; that is the same equation set as checking each
-chain of Hom spaces separately, and no product of two different sources'
-blocks is formed.
+The composition constants are built and checked with the source vertex as
+a batch axis, each block zero-padded only to the largest Hom dimension into
+its vertex.  The build takes one batched product per basis path out of a
+vertex, for every source at once.  ``validate`` checks the mesh relations
+and associativity exhaustively: the triples (v, w, z) of nonzero Hom(v, w)
+and Hom(w, z) fall into classes by the padded block shapes of their three
+Hom spaces, and each class is compared a chunk of triples at a time, for
+every source u of Hom(u, v) != 0 at once.  Every triple lies in one class,
+so that is the same equation set as checking each chain u -> v -> w -> z of
+Hom spaces separately, and no product of two different sources' blocks is
+formed.
 
 Builders are provided for the polygon presentation of type A and for the
 knitted presentation of an arbitrary simply laced Dynkin quiver (module
@@ -45,6 +50,7 @@ classes used by the additive layer.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -53,6 +59,11 @@ import numpy as np
 from .exactlin import PrimeField, array_rref, fast_rank
 
 Path = tuple[int, ...]
+
+# cells of the largest array one chunk of the associativity check makes;
+# the check also reads this many comp keys, and enumerates 16 times as
+# many triples, at a time
+ASSOC_CELLS = 1 << 13
 
 
 class QuiverError(ValueError):
@@ -130,6 +141,7 @@ class MeshCategory:
     Attributes of interest:
       verts, vidx          vertex tuple and name -> index map
       dims                 |V| x |V| matrix of Hom dimensions
+      hom_dims[(u, v)]     the same dimensions as plain ints
       basis[(u, v)]        ordered list of representative paths
       comp[(u, v, w)]      int64 tensor C with C[j, i, k] the coefficient of
                            basis_k(u, w) in basis_j(v, w) . basis_i(u, v)
@@ -153,6 +165,7 @@ class MeshCategory:
         # per vertex x: the middles (b, a) of its mesh relation
         self._mesh = {x: self._mesh_pairs(x) for x in self.verts}
         self._build_hom(max_len_cap)
+        self.hom_dims = {(u, v): len(b) for (u, v), b in self.basis.items()}
         self._build_comp()
         self._build_sigma()
 
@@ -264,32 +277,60 @@ class MeshCategory:
     def _build_comp(self) -> None:
         """comp[(u, v, w)][j] is right multiplication by basis_j(v, w) on
         Hom(u, v).  A basis path is a basis path one arrow shorter followed
-        by an arrow, so each slice is the arrow matrix times its prefix's."""
+        by an arrow, so each slice is the arrow matrix times its prefix's.
+
+        The source u is a batch axis.  Per vertex v, slice j of ts[w] holds
+        the matrices of basis_j(v, w) for every u at once, shape (|V|,
+        pad[v], pad[w]), where pad[x] is the largest dim Hom(u, x) over u
+        and each block is zero-padded to it; so each basis path out of v
+        takes one batched product, its prefix's slice times the stacked
+        right multiplications by its last arrow.  The padding stays zero,
+        and comp[(u, v, w)] is the top-left block of slice u, for each u
+        with Hom(u, v) nonzero."""
         p = self.field.p
         V = self.verts
+        n = len(V)
+        dims = self.dims
+        dl = dims.tolist()
+        pad = dims.max(axis=0).tolist()
         index = {(v, w): {pp: j for j, pp in enumerate(b)}
                  for (v, w), b in self.basis.items()}
         # basis paths out of each v, shortest first, so each prefix comes first
         out = {v: sorted((len(q), w, j, q) for w in V
                          for j, q in enumerate(self.basis[(v, w)]))
                for v in V}
+        # right[a][u] is right multiplication by a: s -> t on Hom(u, s),
+        # transposed and padded to (pad[s], pad[t])
+        right = []
+        for a, (s, t, _) in enumerate(self.arrows):
+            r = np.zeros((n, pad[self.vidx[s]], pad[self.vidx[t]]),
+                         dtype=np.int64)
+            for iu, u in enumerate(V):
+                m = self._right[(u, a)]
+                r[iu, :m.shape[1], :m.shape[0]] = m.T
+            right.append(r)
         self.comp: dict[tuple[str, str, str], np.ndarray] = {}
-        for u in V:
-            for v in V:
-                d = self.hom_dim(u, v)
-                if not d:
-                    continue
-                ts = {w: np.empty((len(self.basis[(v, w)]), d,
-                                   len(self.basis[(u, w)])), dtype=np.int64)
-                      for w in V if self.basis[(v, w)]}
-                for _, w, j, q in out[v]:
-                    if q:
-                        y = self.arrows[q[-1]][0]
-                        prefix = ts[y][index[(v, y)][q[:-1]]]
-                        ts[w][j] = prefix @ self._right[(u, q[-1])].T % p
-                    else:
-                        ts[w][j] = np.eye(d, dtype=np.int64)
-                self.comp.update(((u, v, w), t) for w, t in ts.items())
+        for iv, v in enumerate(V):
+            sources = np.flatnonzero(dims[:, iv]).tolist()
+            ts = {w: np.empty((len(self.basis[(v, w)]), n, pad[iv],
+                               pad[self.vidx[w]]), dtype=np.int64)
+                  for w in V if self.basis[(v, w)]}
+            for _, w, j, q in out[v]:
+                if q:
+                    y = self.arrows[q[-1]][0]
+                    prefix = ts[y][index[(v, y)][q[:-1]]]
+                    np.remainder(np.matmul(prefix, right[q[-1]]), p,
+                                 out=ts[w][j])
+                else:
+                    # the identity of each Hom(u, v), padded
+                    ar = np.arange(pad[iv])
+                    ts[w][j] = ((ar[:, None] == ar)
+                                & (ar < dims[:, iv, None, None]))
+            for w, t in ts.items():
+                iw = self.vidx[w]
+                for iu in sources:
+                    self.comp[(V[iu], v, w)] = \
+                        t[:, iu, :dl[iu][iv], :dl[iu][iw]].copy()
 
     def _build_sigma(self) -> None:
         sg = self.quiver.sigma
@@ -347,51 +388,144 @@ class MeshCategory:
         u -> v -> w -> z of nonzero Hom spaces; raises ValidationError
         naming a failing chain (the first source u in vertex order).
 
-        The source u is kept as a batch axis.  For each nonzero Hom(v, w),
-        lam[(v, w)] holds comp[(u, v, w)] as slice u of a tensor of shape
-        (dim Hom(v, w), |V|, pad[v], pad[w]), where pad[x] is the largest
-        dim Hom(u, x) over u and each block is zero-padded to it.  For each
-        z with Hom(w, z) nonzero, one comparison mod p of
-            matmul(lam[(v, w)][None], lam[(w, z)][:, None])
-            einsum("hgq,quac->hguac", comp[(v, w, z)], lam[(v, z)])
-        (the einsum taken as one matrix product) checks every chain
-        u -> v -> w -> z at once: slice u of the two sides is h . (g . f)
-        and (h . g) . f for that u, and the padding is zero on both sides.
-        So it is the same equation set as checking chain by chain, with one
-        comparison per (v, w, z), and no product between blocks of
-        different sources is formed.
+        The sources u of Hom(u, v) != 0 are kept as a batch axis.  lam(v, w)
+        holds comp[(u, v, w)] for each such u as one slice of a tensor of
+        shape (dim Hom(v, w), width, pad[v], pad[w]), where pad[x] is the
+        largest dim Hom(u, x) over u, each block is zero-padded to it, and
+        width is one more than the most sources of any vertex, so the last
+        slice is always zero (see ``_source_stacks``).  For a triple
+        (v, w, z) of nonzero Hom(v, w) and Hom(w, z), let lam'(w, z) be
+        lam(w, z) with its slices moved to the sources of v (the zero slice
+        for a source u of v with Hom(u, w) = 0).  The two sides
+            matmul(lam(v, w)[None], lam'(w, z)[:, None])
+            einsum("hgq,qufm->hgufm", comp[(v, w, z)], lam(v, z))
+        (the second zero when Hom(v, z) is) have slice u equal to
+        h . (g . f) and (h . g) . f for that u, and the padding is zero on
+        both; comp[(v, w, z)] is read off lam(w, z) at the source v.  The
+        triples are grouped by the shapes of lam(v, w), lam(w, z) and
+        lam(v, z), and the triples of one class are compared together,
+        gathered from the stacks by index, in chunks of at most
+        ``ASSOC_CELLS`` cells an array, the second side as one matrix
+        product per triple.  Every triple lies in exactly one class, so
+        this is the same equation set as checking chain by chain, and no
+        product between blocks of different sources is formed.
         """
         p = self.field.p
         V = self.verts
-        pad = self.dims.max(axis=0)
-        lam: dict[tuple[str, str], np.ndarray] = {}
-        for (u, v, w), t in self.comp.items():
-            big = lam.get((v, w))
-            if big is None:
-                big = lam[(v, w)] = np.zeros(
-                    (t.shape[0], len(V), pad[self.vidx[v]], pad[self.vidx[w]]),
-                    dtype=np.int64)
-            big[:, self.vidx[u], :t.shape[1], :t.shape[2]] = t
-        succ: dict[str, list[str]] = {}
-        for v, w in lam:
-            succ.setdefault(v, []).append(w)
-        for (v, w), lam_vw in lam.items():
-            for z in succ.get(w, ()):
-                lhs = np.matmul(lam_vw[None], lam[(w, z)][:, None])
-                # (h . g) . f is zero when Hom(v, z) is
-                rhs = 0
-                lam_vz = lam.get((v, z))
-                if lam_vz is not None:
-                    c = self.comp[(v, w, z)]
-                    rhs = (c.reshape(-1, c.shape[2])
-                           @ lam_vz.reshape(c.shape[2], -1)).reshape(lhs.shape)
-                diff = (lhs - rhs) % p
-                if diff.any():
-                    iu = int(np.flatnonzero(diff.any(axis=(0, 1, 3, 4)))[0])
-                    raise ValidationError(
-                        f"associativity fails on Hom chain "
-                        f"{V[iu]!r} -> {v!r} -> {w!r} -> {z!r}"
-                    )
+        dims = self.dims
+        stacks, kind, slot, src, pos = self._source_stacks()
+        nz = dims > 0
+        m = len(stacks) + 1
+        # the triples (v, w, z) for a run of v at a time, at most about
+        # 16 ASSOC_CELLS of them (so few classes are split between runs),
+        # grouped by the stacks of their three tensors
+        per_v = int((nz.astype(np.int64) @ nz.sum(axis=1)).max())
+        run = max(1, 16 * ASSOC_CELLS // per_v)
+        for v0 in range(0, len(V), run):
+            tv, tw, tz = (t.astype(np.int32) for t in np.nonzero(
+                nz[v0:v0 + run, :, None] & nz[None]))
+            tv += v0
+            for rows in _groups((kind[tv, tw] * m + kind[tw, tz]) * m
+                                + kind[tv, tz] + 1):
+                v, w, z = tv[rows], tw[rows], tz[rows]
+                a, b = stacks[kind[v[0], w[0]]], stacks[kind[w[0], z[0]]]
+                dvw, dwz, dvz = a.shape[1], b.shape[1], dims[v[0], z[0]]
+                s_vw, s_wz, s_vz = slot[v, w], slot[w, z], slot[v, z]
+                p_wv = pos[w, v]
+                c = stacks[kind[v[0], z[0]]] if dvz else None
+                rows_b = np.arange(dwz)[:, None]
+                cells = dwz * dvw * b.shape[2] * a.shape[3] * b.shape[4]
+                step = max(1, ASSOC_CELLS // max(cells, a[0].size, b[0].size))
+                scalar = a.shape[3] == a.shape[4] == b.shape[4] == 1
+                for lo in range(0, len(rows), step):
+                    hi = lo + step
+                    r = s_wz[lo:hi]
+                    x = a[s_vw[lo:hi]]
+                    # lam(w, z) at the sources of v
+                    y = b[r[:, None, None], rows_b,
+                          pos[w[lo:hi, None], src[v[lo:hi]]][:, None]]
+                    # h . (g . f), axes (triple, h, g, source, f, class of
+                    # Hom(u, z)); with 1 x 1 blocks an elementwise product,
+                    # much cheaper than a matmul of 1 x 1 matrices
+                    if scalar:
+                        side = x[:, None] * y[:, :, None]
+                    else:
+                        side = np.matmul(x[:, None], y[:, :, None])
+                    if dvz:
+                        hg = b[r, :, p_wv[lo:hi], :dvw, :dvz]
+                        side -= np.matmul(
+                            hg.reshape(len(r), -1, dvz),
+                            c[s_vz[lo:hi]].reshape(len(r), dvz, -1),
+                        ).reshape(side.shape)
+                    # nonzero mod p (a floor division by p is much cheaper
+                    # than a remainder)
+                    bad = side != side // p * p
+                    if bad.any():
+                        k, j = np.argwhere(bad.any(axis=(1, 2, 4, 5)))[0]
+                        k += lo
+                        raise ValidationError(
+                            f"associativity fails on Hom chain "
+                            f"{V[src[v[k], j]]!r} -> {V[v[k]]!r} -> "
+                            f"{V[w[k]]!r} -> {V[z[k]]!r}"
+                        )
+
+    def _source_stacks(self):
+        """The tensors lam(v, w) of ``_check_associativity``, filled from
+        ``comp``: (stacks, kind, slot, src, pos).
+
+        src[v] lists the sources u of Hom(u, v) != 0 in vertex order, then
+        the sentinel |V|; pos[v, u] is the position of u in src[v], or the
+        last position when Hom(u, v) = 0 (also for u = |V|).  lam(v, w) is
+        row slot[v, w] of stack kind[v, w] (-1 when Hom(v, w) = 0), one
+        stack per shape, and its slice j along the second axis is
+        comp[(src[v, j], v, w)], padded; the slices past the sources of v
+        stay zero.  The stacks are int32: the blocks are reduced mod p on
+        the way in and p <= exactlin.MAX_CHAR = 97, so each product in the
+        check is at most 96^2 = 9216, and a side sums at most
+        pad[w] + dim Hom(v, z) of them.
+        """
+        n = len(self.verts)
+        dims = self.dims
+        nz = dims > 0
+        pad = dims.max(axis=0)
+        base = int(pad.max()) + 1
+        counts = nz.sum(axis=0)
+        width = int(counts.max()) + 1
+        xs, us = np.nonzero(nz.T)
+        js = np.arange(len(xs)) - np.repeat(np.cumsum(counts) - counts, counts)
+        src = np.full((n, width), n, dtype=np.intp)
+        src[xs, js] = us
+        pos = np.full((n, n + 1), width - 1, dtype=np.intp)
+        pos[xs, us] = js
+        pv, pw = np.nonzero(nz)
+        kind = np.full_like(dims, -1)
+        slot = np.zeros_like(dims)
+        stacks = []
+        for rows in _groups((dims[pv, pw] * base + pad[pv]) * base + pad[pw]):
+            v, w = pv[rows], pw[rows]
+            kind[v, w] = len(stacks)
+            slot[v, w] = np.arange(len(rows))
+            stacks.append(np.zeros((len(rows), dims[v[0], w[0]], width,
+                                    pad[v[0]], pad[w[0]]), dtype=np.int32))
+        # the blocks of comp, ASSOC_CELLS keys at a time, grouped by stack
+        # and block shape
+        keys, values = iter(self.comp), iter(self.comp.values())
+        for _ in range(0, len(self.comp), ASSOC_CELLS):
+            blocks = list(itertools.islice(values, ASSOC_CELLS))
+            ku, kv, kw = np.fromiter(
+                map(self.vidx.__getitem__, itertools.chain.from_iterable(
+                    itertools.islice(keys, ASSOC_CELLS))),
+                dtype=np.intp, count=3 * len(blocks)).reshape(-1, 3).T
+            for rows in _groups((kind[kv, kw] * base + dims[ku, kv]) * base
+                                + dims[ku, kw]):
+                u, v, w = ku[rows], kv[rows], kw[rows]
+                e, f = dims[u[0], v[0]], dims[u[0], w[0]]
+                if f:
+                    stacks[kind[v[0], w[0]]][slot[v, w], :, pos[v, u], :e,
+                                             :f] = np.concatenate(
+                        [blocks[r] for r in rows.tolist()]
+                    ).reshape(len(rows), -1, e, f) % self.field.p
+        return stacks, kind, slot, src, pos
 
     def check_stabilization(self) -> bool:
         """Recompute with the length cap raised by one; dims must agree."""
@@ -419,6 +553,12 @@ class MeshCategory:
 
     def total_hom_dim(self) -> int:
         return int(self.dims.sum())
+
+
+def _groups(code: np.ndarray) -> list[np.ndarray]:
+    """The indices of each value of code, ascending, one array per value."""
+    order = np.argsort(code, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(code[order])) + 1)
 
 
 def check_rigid_vertices(cat: MeshCategory) -> None:

@@ -10,6 +10,39 @@ from trimodel.oracle import objects_up_to
 from trimodel.report import Report
 
 
+def per_source_comp(cat) -> dict:
+    """The composition tensors built one source u at a time: for each u and
+    v with Hom(u, v) != 0 and each basis path q out of v, shortest first,
+    slice q of comp[(u, v, w)] is the slice of q's prefix times the
+    matrix of q's last arrow on Hom(u, -).  The reference for the build
+    that keeps the source as a batch axis."""
+    p = cat.field.p
+    V = cat.verts
+    index = {(v, w): {pp: j for j, pp in enumerate(b)}
+             for (v, w), b in cat.basis.items()}
+    out = {v: sorted((len(q), w, j, q) for w in V
+                     for j, q in enumerate(cat.basis[(v, w)]))
+           for v in V}
+    comp = {}
+    for u in V:
+        for v in V:
+            d = cat.hom_dim(u, v)
+            if not d:
+                continue
+            ts = {w: np.empty((len(cat.basis[(v, w)]), d,
+                               len(cat.basis[(u, w)])), dtype=np.int64)
+                  for w in V if cat.basis[(v, w)]}
+            for _, w, j, q in out[v]:
+                if q:
+                    y = cat.arrows[q[-1]][0]
+                    prefix = ts[y][index[(v, y)][q[:-1]]]
+                    ts[w][j] = prefix @ cat._right[(u, q[-1])].T % p
+                else:
+                    ts[w][j] = np.eye(d, dtype=np.int64)
+            comp.update(((u, v, w), t) for w, t in ts.items())
+    return comp
+
+
 def sigma_mor(f: ac.Mor) -> ac.Mor:
     """The suspension of f, block by block through the basis maps."""
     cat = f.cat

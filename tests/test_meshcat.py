@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from helpers import per_source_comp
 from trimodel import meshcat as mc
 from trimodel.exactlin import PrimeField, array_rref
 
@@ -124,20 +125,56 @@ def chain_by_chain_failures(cat):
     return failures
 
 
-def assert_corruptions_agree(cat, entries):
+def chain_failures_through(cat, key):
+    """The failures of chain_by_chain_failures among the chains whose
+    equation reads comp[key]: all of them when comp[key] is the only
+    tensor changed since that list was empty."""
+    p = cat.field.p
+
+    def comp_tensor(u, v, w):
+        return cat.comp.get((u, v, w), np.zeros(
+            (cat.hom_dim(v, w), cat.hom_dim(u, v), cat.hom_dim(u, w)),
+            dtype=np.int64))
+
+    a, b, c = key
+    # the equation of u -> v -> w -> z reads comp at (u, v, w), (u, w, z),
+    # (v, w, z) and (u, v, z)
+    chains = {ch for x in cat.verts
+              for ch in ((a, b, c, x), (a, x, b, c), (x, a, b, c),
+                         (a, b, x, c))}
+    failures = []
+    for u, v, w, z in sorted(chains, key=lambda ch: [cat.vidx[x] for x in ch]):
+        if not (cat.hom_dim(u, v) and cat.hom_dim(v, w)
+                and cat.hom_dim(w, z)):
+            continue
+        lhs = np.einsum("gfk,hkm->hgfm", cat.comp[(u, v, w)],
+                        comp_tensor(u, w, z))
+        rhs = np.einsum("hgq,qfm->hgfm", cat.comp[(v, w, z)],
+                        comp_tensor(u, v, z))
+        if np.any((lhs - rhs) % p):
+            failures.append((u, v, w, z))
+    return failures
+
+
+def assert_corruptions_agree(cat, entries, failures_of=None):
     """The batched check and the chain-by-chain reference agree on each
     single-entry corruption (key, idx) of comp, and the error names a
-    failing chain with its first failing source.  Returns how many of the
-    corruptions broke associativity."""
+    failing chain with its first failing source.  failures_of(cat, key)
+    lists the failing chains once comp[key] is corrupted (by default all
+    of chain_by_chain_failures).  Returns how many of the corruptions
+    broke associativity."""
     p = cat.field.p
     assert chain_by_chain_failures(cat) == []
+    if failures_of is None:
+        def failures_of(cat, key):
+            return chain_by_chain_failures(cat)
     caught = 0
     for key, idx in entries:
         t = cat.comp[key]
         old = t[idx]
         t[idx] = (old + 1) % p
         try:
-            failures = chain_by_chain_failures(cat)
+            failures = failures_of(cat, key)
             if failures:
                 with pytest.raises(mc.ValidationError,
                                    match="associativity fails") as exc:
@@ -179,6 +216,50 @@ def test_associativity_corruptions_in_padded_blocks(d4):
     assert assert_corruptions_agree(d4, entries) == len(entries)
 
 
+def check_classes(cat):
+    """The triples (v, w, z) of nonzero Hom(v, w) and Hom(w, z), by the
+    class they fall in in the associativity check: the padded block shapes
+    (dim Hom(x, y), pad[x], pad[y]) of (v, w), (w, z) and (v, z), with
+    pad[x] the largest dim Hom(u, x) and None for a zero Hom(v, z)."""
+    pad = cat.dims.max(axis=0)
+
+    def shape(x, y):
+        d = cat.hom_dim(x, y)
+        return (d, int(pad[cat.vidx[x]]), int(pad[cat.vidx[y]])) if d else None
+
+    classes = {}
+    for v, w, z in itertools.product(cat.verts, repeat=3):
+        if cat.hom_dim(v, w) and cat.hom_dim(w, z):
+            key = (shape(v, w), shape(w, z), shape(v, z))
+            classes.setdefault(key, []).append((v, w, z))
+    return classes
+
+
+@pytest.mark.parametrize("cells", [mc.ASSOC_CELLS, 1 << 7])
+def test_associativity_corruption_in_every_shape_class(cells, monkeypatch):
+    """On D6 at p = 3, where Hom spaces reach dimension 2 and blocks are
+    padded, one seeded corruption per class of the check: an entry of
+    comp[(u, v, w)], the block of lam(v, w) at a source u, for a seeded
+    triple (v, w, z) of the class.  The reference reads only the chains
+    through the corrupted tensor, which keeps the test to seconds.  With
+    2^7 cells the triples come in many runs of v and chunks of a class."""
+    monkeypatch.setattr(mc, "ASSOC_CELLS", cells)
+    cat = build("D6", F3)
+    classes = check_classes(cat)
+    assert len(classes) == 31
+    rng = random.Random(0)
+    entries = []
+    for key in sorted(classes, key=repr):
+        v, w, z = rng.choice(classes[key])
+        u = rng.choice([u for u in cat.verts
+                        if cat.hom_dim(u, v) and cat.hom_dim(u, w)])
+        t = cat.comp[(u, v, w)]
+        entries.append(((u, v, w),
+                        tuple(rng.randrange(n) for n in t.shape)))
+    caught = assert_corruptions_agree(cat, entries, chain_failures_through)
+    assert caught == len(entries)
+
+
 def _tensors_digest(tensors):
     h = hashlib.sha256()
     for key in sorted(tensors):
@@ -203,12 +284,35 @@ E6 = mc.make_dynkin(["0", "1", "2", "3", "4", "5"],
                      ("5", "2")])
 
 
+# D6 with the arrows of the path 0 - 1 - 2 - 3 - 4 reversed
+D6_REV = mc.make_dynkin(["0", "1", "2", "3", "4", "5"],
+                        [("0", "1"), ("1", "2"), ("2", "3"), ("3", "4"),
+                         ("5", "3")])
+
+
 def build(kind, field):
     if kind.startswith("A"):
         return mc.build_type_a(int(kind[1:]), field)
     quiver = {"D4": mc.dynkin_d4_subspace(), "D5": D5, "D6": D6,
-              "E6": E6}[kind]
+              "D6rev": D6_REV, "E6": E6}[kind]
     return mc.build_dynkin(quiver, field)
+
+
+@pytest.mark.parametrize("kind", ["A2", "A3", "A4", "A5", "A6", "D4", "D5",
+                                  "D6", "D6rev", "E6"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_batched_comp_matches_per_source_build(kind, p):
+    """The build with the source as a batch axis gives the tensors of the
+    one-source-at-a-time build: the same keys, and per key the same
+    dtype, shape and bytes."""
+    cat = build(kind, PrimeField(p))
+    ref = per_source_comp(cat)
+    assert sorted(cat.comp) == sorted(ref)
+    for key, t in ref.items():
+        mine = cat.comp[key]
+        assert (mine.dtype, mine.shape) == (t.dtype, t.shape), key
+        assert mine.flags.c_contiguous, key
+        assert mine.tobytes() == t.tobytes(), key
 
 
 # sha256 prefixes of basis, comp and sigma_map, recorded from the
