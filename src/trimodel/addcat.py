@@ -81,7 +81,7 @@ class Mor:
                 self.set_block(i, j, vec)
 
     def block_dim(self, i: int, j: int) -> int:
-        return self.cat.hom_dim(self.dom.summands[j], self.cod.summands[i])
+        return self.cat.hom_dims[self.dom.summands[j], self.cod.summands[i]]
 
     def block(self, i: int, j: int) -> np.ndarray:
         b = self.blocks.get((i, j))
@@ -124,11 +124,13 @@ class Mor:
 
 
 def identity(cat: MeshCategory, x: Obj) -> Mor:
+    """The identity of x: block (i, i) is basis element 0 of End(x_i), the
+    class of the trivial path (``MeshCategory.validate`` checks this)."""
     f = Mor(cat, x, x)
     for i, v in enumerate(x.summands):
-        vec = np.zeros(cat.hom_dim(v, v), dtype=np.int64)
+        vec = np.zeros(cat.hom_dims[v, v], dtype=np.int64)
         vec[0] = 1
-        f.set_block(i, i, vec)
+        f.blocks[(i, i)] = vec
     return f
 
 
@@ -284,9 +286,13 @@ def vec_to_mor(cat: MeshCategory, x: Obj, y: Obj, vec) -> Mor:
     v = np.asarray(vec, dtype=np.int64)
     if v.shape != (total,):
         raise ValueError(f"expected vector of length {total}")
+    v = v % cat.field.p
     f = Mor(cat, x, y)
+    # the layout fixes every block's shape: store the nonzero slices
     for (ij, off, d) in layout:
-        f.set_block(*ij, v[off:off + d])
+        block = v[off:off + d]
+        if block.any():
+            f.blocks[ij] = block
     return f
 
 

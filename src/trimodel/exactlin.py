@@ -11,6 +11,8 @@ rank of a single matrix; and ``batch_rank``, which takes the ranks of a
 whole (n, r, c) stack of matrices at once, for searches and suites that
 test many morphisms together; it eliminates in int16, which is exact
 because p <= ``MAX_CHAR`` keeps every product in a row update below 2^15.
+At p = 2, ``fast_rank`` and ``array_solve`` pack each row into an int and
+eliminate by xor (``_xor_echelon``), with the answers of the RREF.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ class PrimeField:
 
 
 def _as_matrix(a, p: int) -> np.ndarray:
-    m = np.array(a, dtype=np.int64)
+    m = np.asarray(a, dtype=np.int64)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {m.shape}")
     return m % p
@@ -92,14 +94,17 @@ def array_solve(a, b, p: int):
     """One solution of A x = b over F_p, or None if inconsistent.
 
     Free variables are pinned to 0 under lowest-index pivoting, which makes
-    the returned solution canonical.
+    the returned solution canonical.  At p = 2 the same solution comes from
+    packed rows (``_solve_packed``).
     """
     m = _as_matrix(a, p)
-    rhs = np.array(b, dtype=np.int64) % p
+    rhs = np.asarray(b, dtype=np.int64) % p
     if rhs.ndim != 1 or rhs.shape[0] != m.shape[0]:
         raise ValueError(
             f"dimension mismatch: A has {m.shape[0]} rows, b has shape {rhs.shape}"
         )
+    if p == 2:
+        return _solve_packed(m, rhs)
     aug = np.concatenate([m, rhs[:, None]], axis=1)
     red, pivots = array_rref(aug, p)
     n = m.shape[1]
@@ -109,6 +114,62 @@ def array_solve(a, b, p: int):
     for row, c in enumerate(pivots):
         x[c] = red[row, n]
     return x
+
+
+def _solve_packed(m: np.ndarray, rhs: np.ndarray):
+    """``array_solve`` over F_2 of the reduced system A x = b: the rows of
+    [A | b] are packed into ints, column c of A at bit n - c and b at bit
+    0, and eliminated by xor (``_xor_echelon``).
+
+    The leading bits of an echelon basis of the row space are the pivot
+    columns of the RREF, as both depend on the row space alone.  A pivot at
+    bit 0 means the system is inconsistent.  Otherwise back-substitution
+    from the lowest pivot up, with the free variables 0, gives the one
+    solution that is 0 on the free columns, which is the RREF one."""
+    n = m.shape[1]
+    pivots = _xor_echelon([(w << 1) | t for w, t in
+                           zip(_pack_rows(m), rhs.tolist())])
+    if 1 in pivots:
+        return None
+    x = 1    # bit 0 stands for b, so a row's parity against x is b - A x
+    for lead in sorted(pivots):
+        if (pivots[lead] & x).bit_count() & 1:
+            x |= 1 << (lead - 1)
+    return np.array([(x >> k) & 1 for k in range(n, 0, -1)], dtype=np.int64)
+
+
+_POW2_CACHE: dict[int, np.ndarray] = {}
+
+
+def _pack_rows(m: np.ndarray) -> list[int]:
+    """The rows of a 0/1 int64 matrix as Python ints, column c at bit
+    (columns - 1 - c)."""
+    cols = m.shape[1]
+    if cols > 62:
+        pows = [1 << k for k in range(cols - 1, -1, -1)]
+        return [sum(pw for pw, v in zip(pows, row) if v)
+                for row in m.tolist()]
+    pows = _POW2_CACHE.get(cols)
+    if pows is None:
+        pows = _POW2_CACHE[cols] = \
+            1 << np.arange(cols - 1, -1, -1, dtype=np.int64)
+    return (m @ pows).tolist()
+
+
+def _xor_echelon(words: list[int]) -> dict[int, int]:
+    """An echelon basis over F_2 of the rows packed in words, each keyed by
+    the bit length of its leading bit: the elimination of the p = 2 paths
+    of ``array_solve`` and ``fast_rank``."""
+    pivots: dict[int, int] = {}
+    for word in words:
+        while word:
+            lead = word.bit_length()
+            piv = pivots.get(lead)
+            if piv is None:
+                pivots[lead] = word
+                break
+            word ^= piv
+    return pivots
 
 
 def array_kernel(a, p: int) -> list[np.ndarray]:
@@ -142,7 +203,6 @@ def array_inverse(a, p: int):
     return red[:, n:]
 
 
-_POW2_CACHE: dict[int, np.ndarray] = {}
 # cells per elimination pass of batch_rank: larger stacks run in slices,
 # which keeps the working copy small and cache-resident
 BATCH_CELLS = 1 << 16
@@ -162,26 +222,7 @@ def fast_rank(a, p: int) -> int:
     if rows_n == 0 or cols == 0:
         return 0
     if p == 2:
-        if cols <= 62:
-            pows = _POW2_CACHE.get(cols)
-            if pows is None:
-                pows = _POW2_CACHE[cols] = 1 << np.arange(cols, dtype=np.int64)
-            words = ((m & 1) @ pows).tolist()
-        else:
-            pows = [1 << k for k in range(cols)]
-            words = [sum(pw for pw, x in zip(pows, row) if x & 1)
-                     for row in m.tolist()]
-        pivots: dict[int, int] = {}
-        for word in words:
-            word = int(word)
-            while word:
-                lead = word.bit_length()
-                piv = pivots.get(lead)
-                if piv is None:
-                    pivots[lead] = word
-                    break
-                word ^= piv
-        return len(pivots)
+        return len(_xor_echelon(_pack_rows(m & 1)))
     rows = [[int(x) % p for x in row] for row in m]
     rows = [r for r in rows if any(r)]
     rank = 0

@@ -13,6 +13,16 @@ homotopy mode when it holds, and the ideal columns are built only when it
 fails.  Enumeration is reserved for the quantifier over the generating
 family (morphisms from sums of T vertices to cofibrant objects).
 
+A square from ell to r_1 + ... + r_n is a tuple of squares to the r_i, and
+it lifts iff each component does.  In the homotopy modes this holds too,
+because ``ideal_span_matrix`` is built block by block, so the perp ideal of
+a sum is the sum of the ideals.  So where a suite asks whether ell lifts
+against every member of a family, and stops at the first failure, it asks
+against direct sums of at most ``FAMILY_SUM`` members (``_family_sums``),
+built once per suite; its witness names ell, not the member that failed.
+Larger sums cost more than the members one by one: at p = 3 a sum of 20
+members took twice as long as 20 single tests.
+
 The generating-family oracle decides many morphisms at once: it walks the
 generator pairs in family order and, per pair, ranks the lifting matrices
 of every morphism still lifting against every generator row together (one
@@ -406,6 +416,15 @@ def _wfib_family(rigid: RigidStructure, pool, rng, count: int) -> list[Mor]:
     return fam[:count]
 
 
+FAMILY_SUM = 4
+
+
+def _family_sums(fam: list[Mor]) -> list[Mor]:
+    """fam as direct sums of at most ``FAMILY_SUM`` consecutive members."""
+    return [ac.dsum_mor(*fam[i: i + FAMILY_SUM])
+            for i in range(0, len(fam), FAMILY_SUM)]
+
+
 def _fib_family(rigid: RigidStructure, pool, rng, count: int) -> list[Mor]:
     cat = rigid.cat
     fam: list[Mor] = []
@@ -498,15 +517,16 @@ def run_axiom_suite(cat: MeshCategory, rigid: RigidStructure,
             f"{len(wfibs)} trivial fibrations tested", bad[:3] or None)
 
     # (0.5) inclusions A -> A + B with B cofibrant: LLP against the family
+    # each family is tested as direct sums (module docstring)
+    wfib_sums = _family_sums(wfibs)
     bad = []
     for _ in range(n):
         a_obj = _sample_obj(pool, rng)
         b_obj = rigid.ts_list[int(rng.integers(0, len(rigid.ts_list)))]
         inc = _inclusion(cat, a_obj, b_obj)
-        for q in wfibs:
-            if not rlp_all_squares(rigid, inc, q, "plain"):
-                bad.append({"A": list(a_obj.summands), "B": list(b_obj.summands)})
-                break
+        if not all(rlp_all_squares(rigid, inc, q, "plain")
+                   for q in wfib_sums):
+            bad.append({"A": list(a_obj.summands), "B": list(b_obj.summands)})
     rep.add("axiom-0.5-coproduct-inclusions", not bad,
             "literal reading tested: arbitrary first summand, "
             f"{n} samples", bad[:3] or None)
@@ -519,6 +539,8 @@ def run_axiom_suite(cat: MeshCategory, rigid: RigidStructure,
         g = ac.random_morphism_rng(cat, y, z, rng)
         wf = rigid.classify(f).weq
         wg = rigid.classify(g).weq
+        if not (wf or wg):
+            continue    # every condition needs f or g a weak equivalence
         wgf = rigid.classify(ac.compose(g, f)).weq
         if (wf and wg and not wgf) or (wf and wgf and not wg) \
                 or (wg and wgf and not wf):
@@ -580,6 +602,7 @@ def run_axiom_suite(cat: MeshCategory, rigid: RigidStructure,
     # (4) factorizations on every sampled morphism
     bad = []
     count = 0
+    some_wfib_sums = _family_sums(wfibs[:3])
     for _ in range(budget):
         f = _sample_mor(cat, pool, rng)
         count += 1
@@ -597,12 +620,11 @@ def run_axiom_suite(cat: MeshCategory, rigid: RigidStructure,
             bad.append({"factorization": "htpcof-wfib", "f": mor_to_json(g),
                         "error": str(e)})
             continue
-        for q in wfibs[:3]:
-            if not _rlp_up_to_homotopy(rigid, fp.first, q,
-                                       ("htp_top", "htp_bottom")):
-                bad.append({"factorization": "htpcof-wfib",
-                            "first-factor-falsified": mor_to_json(fp.first)})
-                break
+        if not all(_rlp_up_to_homotopy(rigid, fp.first, q,
+                                       ("htp_top", "htp_bottom"))
+                   for q in some_wfib_sums):
+            bad.append({"factorization": "htpcof-wfib",
+                        "first-factor-falsified": mor_to_json(fp.first)})
     rep.add("axiom-4-factorizations", not bad,
             f"{count} morphisms, both constructors, certified factors",
             bad[:3] or None)
@@ -675,6 +697,8 @@ def lemma_equivalence_suite(cat: MeshCategory, rigid: RigidStructure,
     for _ in range(8):
         fib_pool.append(rigid.factor_wcof_fib(
             _sample_mor(cat, pool, fib_rng)).second)
+    # the first four are tested as one direct sum (module docstring)
+    some_fibs = ac.dsum_mor(*fib_pool[:4])
     spaces, exhaustive = _hom_spaces(rigid, pool, rng)
     n_pairs = len(_generator_rows(rigid, gen_mult_bound, gen_a_total))
     fails = _generating_failures(rigid, spaces, gen_mult_bound, gen_a_total)
@@ -707,12 +731,9 @@ def lemma_equivalence_suite(cat: MeshCategory, rigid: RigidStructure,
             if ac.compose(retraction, f) != ac.identity(cat, x):
                 bad_c.append({"f": mor_to_json(f),
                               "reason": "retraction not verified"})
-            else:
-                for r in fib_pool[:4]:
-                    if not rlp_all_squares(rigid, f, r, "plain"):
-                        bad_c.append({"f": mor_to_json(f),
-                                      "reason": "LLP vs fibration failed"})
-                        break
+            elif not rlp_all_squares(rigid, f, some_fibs, "plain"):
+                bad_c.append({"f": mor_to_json(f),
+                              "reason": "LLP vs fibration failed"})
         # the witness verdict is the solvability of the correction system
         # f = h . a, a the tautological left perp-approximation of x; the
         # packaged construction is exercised below

@@ -17,10 +17,11 @@ Hom(T, -) is built once, not vertex by vertex;
   * the four morphism classes: weak equivalences (Hom(T, -) applied to the
     morphism is bijective), fibrations (Hom(sigma T, -) surjective),
     trivial fibrations (both), and weak cofibrations (split monos with
-    complement in add sigma T); ``classify`` builds a Hom-functor matrix
-    only where the dimensions leave the verdict open, and ``class_masks``
-    gives the first two flags for whole Hom spaces at once, through
-    ``addcat.left_mul_tensor`` and batched ranks;
+    complement in add sigma T); ``classify`` decides each flag when it is
+    first read, and builds a Hom-functor matrix only where the dimensions
+    leave the verdict open, and ``class_masks`` gives the first two flags
+    for whole Hom spaces at once, through ``addcat.left_mul_tensor`` and
+    batched ranks;
   * cofibrant objects: the cones of morphisms between sums of T vertices,
     defined here by the approximation criterion (the minimal left
     perp-approximation of an indecomposable lands in add sigma T); cones
@@ -50,6 +51,7 @@ layout is a function of its two objects.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -86,18 +88,65 @@ class EnumParams:
     seed: int = 0
 
 
-@dataclass
 class Classification:
-    weq: bool
-    fib: bool
-    wfib: bool
-    wcof: bool
-    retraction: Mor | None = None
-    complement: Obj | None = None
+    """The class flags of one morphism f (``RigidStructure.classify``).
+
+    Each flag is decided when it is first read and then kept, so a caller
+    pays only for what it reads: ``wfib`` reads ``fib`` only when ``weq``
+    holds, and ``wcof``, ``retraction`` and ``complement`` share one
+    retraction solve.  f must not be mutated after ``classify``.  Two
+    classifications compare by identity; ``repr`` decides and shows the
+    four flags of ``as_dict``."""
+
+    def __init__(self, rigid: "RigidStructure", f: Mor) -> None:
+        self._rigid = rigid
+        self._f = f
+
+    @functools.cached_property
+    def weq(self) -> bool:
+        return self._rigid._full_row_rank(
+            self._f, self._rigid.subcat_obj("T"), square=True)
+
+    @functools.cached_property
+    def fib(self) -> bool:
+        return self._rigid._full_row_rank(
+            self._f, self._rigid.subcat_obj("sigmaT"), square=False)
+
+    @property
+    def wfib(self) -> bool:
+        return self.weq and self.fib
+
+    @functools.cached_property
+    def _split(self) -> tuple[Mor | None, Obj | None]:
+        """(retraction, complement) of a split mono with complement in add
+        sigma T, else (None, None)."""
+        f = self._f
+        complement = self._rigid.split_mono_complement(f.dom, f.cod)
+        if complement is None:
+            return None, None
+        retraction = ac.find_retraction(f)
+        if retraction is None:
+            return None, None
+        return retraction, complement
+
+    @property
+    def wcof(self) -> bool:
+        return self._split[0] is not None
+
+    @property
+    def retraction(self) -> Mor | None:
+        return self._split[0]
+
+    @property
+    def complement(self) -> Obj | None:
+        return self._split[1]
 
     def as_dict(self) -> dict:
         return {"weq": self.weq, "fib": self.fib,
                 "wfib": self.wfib, "wcof": self.wcof}
+
+    def __repr__(self) -> str:
+        return f"Classification({self.as_dict()})"
 
 
 @dataclass
@@ -396,17 +445,10 @@ class RigidStructure:
         them and leaves the matrix block diagonal, so the same holds for the
         approximation tests of ``is_approximation`` and ``_minimize``.
         A matrix is built only where its dimensions leave the verdict open
-        (``_full_row_rank``)."""
-        weq = self._full_row_rank(f, self.subcat_obj("T"), square=True)
-        fib = self._full_row_rank(f, self.subcat_obj("sigmaT"), square=False)
-        retraction = None
-        complement = self.split_mono_complement(f.dom, f.cod)
-        if complement is not None:
-            retraction = ac.find_retraction(f)
-            if retraction is None:
-                complement = None
-        return Classification(weq, fib, weq and fib, retraction is not None,
-                              retraction, complement)
+        (``_full_row_rank``), and only when its flag is first read: the
+        returned ``Classification`` decides each flag on demand, so f must
+        not be mutated after this call."""
+        return Classification(self, f)
 
     def _full_row_rank(self, f: Mor, w: Obj, square: bool) -> bool:
         """Whether Hom(w, f) has full row rank (and is square, if asked).

@@ -5,7 +5,7 @@ import numpy as np
 
 from trimodel import addcat as ac
 from trimodel import endalg as ea
-from trimodel.exactlin import array_solve
+from trimodel.exactlin import array_solve, fast_rank
 from trimodel.oracle import objects_up_to
 from trimodel.report import Report
 
@@ -66,6 +66,32 @@ def ideal_witness(rigid, f: ac.Mor, key):
         raise AssertionError("ideal member failed to factor through "
                              "the tautological approximation")
     return lam, ac.vec_to_mor(rigid.cat, lam.cod, f.cod, x)
+
+
+def eager_classify(rigid, f: ac.Mor) -> dict:
+    """Every class flag of f decided up front, with no dimension shortcut:
+    the reference for the flags ``RigidStructure.classify`` decides on
+    demand.  weq: Hom(T, f) is square of full row rank; fib: Hom(sigma T,
+    f) has full row rank; wcof: f is a split mono whose complement lies in
+    add sigma T, with the retraction ``addcat.find_retraction`` solves."""
+    p = rigid.cat.field.p
+
+    def full_row_rank(w, square):
+        m = ac.left_mul_matrix(f, w)
+        return fast_rank(m, p) == m.shape[0] and \
+            (m.shape[0] == m.shape[1] or not square)
+
+    weq = full_row_rank(rigid.subcat_obj("T"), True)
+    fib = full_row_rank(rigid.subcat_obj("sigmaT"), False)
+    retraction = None
+    complement = rigid.split_mono_complement(f.dom, f.cod)
+    if complement is not None:
+        retraction = ac.find_retraction(f)
+        if retraction is None:
+            complement = None
+    return {"weq": weq, "fib": fib, "wfib": weq and fib,
+            "wcof": retraction is not None, "retraction": retraction,
+            "complement": complement}
 
 
 def multiply(alg: ea.AlgebraPres, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -12,11 +13,19 @@ from trimodel.exactlin import PrimeField
 from trimodel.report import mor_to_json
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def run_cli(*args, env=None):
+    """Run the CLI in a subprocess on this tree's source: pytest's
+    ``pythonpath`` setting does not reach subprocesses, so the repository's
+    src is prepended to PYTHONPATH."""
     cmd = [sys.executable, "-m", "trimodel.cli", *args]
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
+    full_env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (SRC, full_env.get("PYTHONPATH"))))
     return subprocess.run(cmd, capture_output=True, env=full_env)
 
 

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trimodel import exactlin as el
@@ -140,6 +140,53 @@ def test_kernel_vectors_annihilate(mp):
 def test_fast_rank_agrees(mp):
     p, m = mp
     assert el.fast_rank(m, p) == rref_rank(m, p)
+
+
+def rref_solve(a, b, p: int):
+    """The reference solve: the RREF of [A | b], free variables 0."""
+    n = a.shape[1]
+    red, pivots = el.array_rref(np.concatenate([a, b[:, None]], axis=1), p)
+    if n in pivots:
+        return None
+    x = np.zeros(n, dtype=np.int64)
+    for row, c in enumerate(pivots):
+        x[c] = red[row, n]
+    return x
+
+
+@st.composite
+def f2_system(draw):
+    """(A, b) over F_2: 0 to 8 rows, 0 to 8 columns or more than 62, and b
+    either in the column span of A or drawn freely (often inconsistent)."""
+    rows = draw(st.integers(0, 8))
+    cols = draw(st.one_of(st.integers(0, 8), st.integers(63, 70)))
+    a = np.array(draw(st.lists(st.integers(0, 1), min_size=rows * cols,
+                               max_size=rows * cols)),
+                 dtype=np.int64).reshape(rows, cols)
+    if draw(st.booleans()):
+        x0 = np.array(draw(st.lists(st.integers(0, 1), min_size=cols,
+                                    max_size=cols)), dtype=np.int64)
+        b = a @ x0 % 2
+    else:
+        b = np.array(draw(st.lists(st.integers(0, 1), min_size=rows,
+                                   max_size=rows)), dtype=np.int64)
+    return a, b
+
+
+@given(f2_system())
+@example((np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.int64)))
+@example((np.zeros((2, 0), dtype=np.int64), np.array([0, 1])))
+@example((np.ones((2, 3), dtype=np.int64), np.array([0, 1])))
+@example((np.eye(3, 64, dtype=np.int64), np.array([1, 0, 1])))
+@settings(max_examples=300, deadline=None)
+def test_packed_solve_agrees_with_rref(ab):
+    a, b = ab
+    want = rref_solve(a, b, 2)
+    got = el.array_solve(a, b, 2)
+    if want is None:
+        assert got is None
+    else:
+        assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 @st.composite

@@ -171,10 +171,37 @@ def test_rlp_monotone_under_direct_sum(cat, rigid):
         ell = ac.random_morphism_rng(
             cat, pool[int(rng.integers(0, len(pool)))],
             pool[int(rng.integers(0, len(pool)))], rng)
-        both = oracle.rlp_all_squares(rigid, ell, ac.dsum_mor(g1, g2), "plain")
-        each = oracle.rlp_all_squares(rigid, ell, g1, "plain") and \
-            oracle.rlp_all_squares(rigid, ell, g2, "plain")
-        assert both == each
+        for mode in oracle.MODES:
+            both = oracle.rlp_all_squares(rigid, ell, ac.dsum_mor(g1, g2),
+                                          mode)
+            each = oracle.rlp_all_squares(rigid, ell, g1, mode) and \
+                oracle.rlp_all_squares(rigid, ell, g2, mode)
+            assert both == each, mode
+    # sums of three trivial fibrations, the shape the axiom suite tests the
+    # first factors of factor_htpcof_wfib against, on A2 and on A3
+    a3 = mc.build_type_a(3, PrimeField(2))
+    seen = {mode: set() for mode in oracle.MODES}
+    for big in (rigid, rm.build_rigid(a3, ["13", "15", "35"])):
+        pool = oracle.objects_up_to(big.cat, 2)
+        wfibs = oracle._wfib_family(big, pool, rng, 6)
+        for k in range(40):
+            x = big.ts_list[int(rng.integers(0, len(big.ts_list)))]
+            y = pool[int(rng.integers(0, len(pool)))]
+            g = ac.random_morphism_rng(big.cat, x, y, rng)
+            ell = big.factor_htpcof_wfib(g).first if k % 2 else g
+            three = wfibs[k % 4:k % 4 + 3]
+            for mode in oracle.MODES:
+                both = oracle.rlp_all_squares(big, ell, ac.dsum_mor(*three),
+                                              mode)
+                each = all(oracle.rlp_all_squares(big, ell, q, mode)
+                           for q in three)
+                assert both == each, mode
+                seen[mode].add(both)
+            assert oracle._rlp_up_to_homotopy(
+                big, ell, ac.dsum_mor(*three), ("htp_top", "htp_bottom")) \
+                == all(oracle._rlp_up_to_homotopy(
+                    big, ell, q, ("htp_top", "htp_bottom")) for q in three)
+    assert all(vals == {True, False} for vals in seen.values()), seen
 
 
 def test_wcof_perp_fib_exact(cat, rigid):

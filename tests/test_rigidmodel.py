@@ -8,7 +8,7 @@ from trimodel import meshcat as mc
 from trimodel import rigidmodel as rm
 from trimodel.exactlin import PrimeField, fast_rank
 
-from helpers import ideal_witness
+from helpers import eager_classify, ideal_witness
 
 
 @pytest.fixture(scope="module")
@@ -781,8 +781,9 @@ def test_classify_builds_no_matrix_when_dimensions_decide(monkeypatch):
                                 if decided]
                 monkeypatch.setattr(ac, "left_mul_matrix", guarded)
                 got = rigid.classify(f)
+                flags = (got.weq, got.fib)  # read under the guard
                 monkeypatch.setattr(ac, "left_mul_matrix", left_mul)
-                assert (got.weq, got.fib) == want, f
+                assert flags == want, f
                 seen.update(name for name, hit in (
                     ("weq: unequal dims", dims[0] != dims[1]),
                     ("weq: both zero", dims[0] == dims[1] == 0),
@@ -847,3 +848,48 @@ def test_axiom_report_same_on_cold_and_warm_layout_memo(build, t_set, other):
         _set_work(rm.build_rigid(warm_cat, o))
     warm = emit_report(run_axiom_suite(warm_cat, rigid, budget=30), "json")
     assert warm == cold
+
+
+FLAGS = ("weq", "fib", "wfib", "wcof", "retraction", "complement")
+
+
+def _on_demand_cases():
+    """(category, rigid sets): every A2 and A3 set and 8 seeded D4 sets,
+    each at p = 2 and 3."""
+    for p in (2, 3):
+        for rank in (2, 3):
+            cat = mc.build_type_a(rank, PrimeField(p))
+            yield pytest.param(cat, rm.all_rigid_subsets(cat),
+                               id=f"A{rank}-p{p}")
+        d4 = mc.build_dynkin(mc.dynkin_d4_subspace(), PrimeField(p))
+        sets = rm.all_rigid_subsets(d4)
+        pick = np.random.default_rng(p).choice(len(sets), 8, replace=False)
+        yield pytest.param(d4, [sets[i] for i in sorted(pick)], id=f"D4-p{p}")
+
+
+@pytest.mark.parametrize("cat,sets", _on_demand_cases())
+def test_on_demand_flags_match_eager_classify(cat, sets):
+    """Every flag of ``classify``, its retraction and its complement equal
+    those of ``eager_classify``, read in a seeded order per morphism, on
+    random morphisms, weak cofibrations and cofibrant replacements."""
+    from trimodel.oracle import _wcof_family, objects_up_to
+    rng = np.random.default_rng(0)
+    pool = objects_up_to(cat, 2)
+    orders = list(itertools.permutations(FLAGS))
+    seen = {name: set() for name in ("weq", "fib", "wfib", "wcof")}
+    for t_set in sets:
+        rigid = rm.build_rigid(cat, t_set)
+        mors = [ac.random_morphism_rng(
+            cat, pool[int(rng.integers(len(pool)))],
+            pool[int(rng.integers(len(pool)))], rng) for _ in range(12)]
+        mors += _wcof_family(rigid, pool, rng, 3)
+        mors += [rigid.cofibrant_replacement(
+            pool[int(rng.integers(len(pool)))])[1] for _ in range(2)]
+        for f in mors:
+            want = eager_classify(rigid, f)
+            got = rigid.classify(f)
+            for name in orders[int(rng.integers(len(orders)))]:
+                assert getattr(got, name) == want[name], (t_set, f, name)
+            for name, vals in seen.items():
+                vals.add(want[name])
+    assert all(vals == {True, False} for vals in seen.values()), seen
