@@ -12,9 +12,8 @@ from .meshcat import (DynkinQuiver, MeshCategory, TransQuiver, build_dynkin,
                       build_type_a, dynkin_a, dynkin_d4_subspace, load,
                       make_dynkin, make_quiver, save)
 from .addcat import Mor, Obj, obj
-from .rigidmodel import (Classification, EnumParams, FactorPair,
-                         NotRigidError, RigidStructure, all_rigid_subsets,
-                         build_rigid)
+from .rigidmodel import (Classification, FactorPair, NotRigidError,
+                         RigidStructure, all_rigid_subsets, build_rigid)
 from .oracle import (lemma_equivalence_suite, lifting_report,
                      rlp_against_generating_I, rlp_all_squares,
                      run_axiom_suite)

@@ -5,12 +5,14 @@ matrices whose (i, j) block is a coefficient vector over the Hom basis from
 the j-th source summand to the i-th target summand.  Composition is the
 bilinear extension of the category's structure constants.
 
-Morphisms between direct sums, such as [f a], [1; 0] or [[1, h], [1, 0]],
-are assembled by ``block_mor`` from a grid of morphisms between the
-summand objects.  The Hom functors are also available as tensors over a
-whole Hom space: ``left_mul_tensor`` gives Hom(w, f) and
-``right_mul_tensor`` gives Hom(f, z) for every f in Hom(x, y) at once, and
-``apply_tensor`` contracts either with a stack of coefficient rows.
+Morphisms between direct sums, such as [f a] or [[1, h], [1, 0]], are
+assembled by ``block_mor`` from a grid of morphisms between the summand
+objects; the coproduct inclusion [1; 0] and the projection [1 0] have
+their own constructors, ``inclusion`` and ``projection``.  The Hom functors
+are also available as tensors over a whole Hom space: ``left_mul_tensor``
+gives Hom(w, f) and ``right_mul_tensor`` gives Hom(f, z) for every f in
+Hom(x, y) at once, and ``apply_tensor`` contracts either with a stack of
+coefficient rows.
 ``left_mul_matrix`` and ``right_mul_matrix`` build the same matrices for
 one morphism, which is cheaper for a single call: the layout of Hom(w, y)
 is grouped by the summand of y, then by that of w, so block (i, j) of f
@@ -212,6 +214,16 @@ def block_mor(cat: MeshCategory, rows, cols, grid) -> Mor:
             ci += len(col)
         ri += len(row)
     return out
+
+
+def inclusion(cat: MeshCategory, a: Obj, b: Obj) -> Mor:
+    """The coproduct inclusion [1; 0]: a -> a + b."""
+    return Mor(cat, a, dsum_obj(a, b), identity(cat, a).blocks)
+
+
+def projection(cat: MeshCategory, a: Obj, b: Obj) -> Mor:
+    """The projection [1 0]: a + b -> a."""
+    return Mor(cat, dsum_obj(a, b), a, identity(cat, a).blocks)
 
 
 def dsum_mor(*fs: Mor) -> Mor:

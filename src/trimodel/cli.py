@@ -18,7 +18,7 @@ from . import d4scenario, endalg, meshcat, oracle
 from .exactlin import PrimeField
 from .meshcat import QuiverError, ValidationError
 from .report import Report, emit_report, mor_from_json, mor_to_json
-from .rigidmodel import EnumParams, NotRigidError, build_rigid
+from .rigidmodel import NotRigidError, build_rigid
 
 DEFAULT_BUDGET = 500
 
@@ -110,12 +110,11 @@ def _rigid_for(args, cat):
         # the worked example's rigid set, rebuilt on this command's own
         # category: morphisms of two category instances never compare equal
         binding = d4scenario.bind(args.field_char)
-        return build_rigid(cat, binding.rigid.t_ind,
-                           EnumParams(seed=args.seed))
+        return build_rigid(cat, binding.rigid.t_ind, seed=args.seed)
     if not args.t_verts:
         raise QuiverError("this command requires --T")
     t = [v for v in args.t_verts.split(",") if v]
-    return build_rigid(cat, t, EnumParams(seed=args.seed))
+    return build_rigid(cat, t, seed=args.seed)
 
 
 def _budget(args) -> int:

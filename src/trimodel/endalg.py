@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import addcat as ac
+from . import rigidmodel as rm
 from .addcat import Obj
 from .exactlin import array_kernel, batch_rank, fast_rank
 from .report import Report
@@ -104,9 +105,8 @@ def find_module_iso(rigid: RigidStructure, m: ModuleRep, n: ModuleRep):
     basis = intertwiner_space(m, n, p)
     if not basis:
         return None
-    for rows, _ in ac.coeff_chunks(p, len(basis), 16,
-                                   rigid.params.sample_count,
-                                   rigid.params.seed, first=16):
+    for rows, _ in ac.coeff_chunks(p, len(basis), 16, rm.SAMPLE_COUNT,
+                                   rigid.seed, first=16):
         mats = (rows @ np.stack(basis) % p).reshape(-1, n.dim, m.dim)
         hits = np.flatnonzero(batch_rank(mats, p) == n.dim)
         if hits.size:
@@ -147,15 +147,20 @@ def _pair_data(rigid: RigidStructure, mods: dict, u: str, v: str) -> dict:
     }
 
 
+# pairs of cofibrant objects that check_equivalence draws and assembles in
+# full at most; read at call time
+EXPLICIT_PAIRS = 25
+
+
 def check_equivalence(rigid: RigidStructure, pair_total: int = 2,
-                      explicit_pairs: int = 25, seed: int = 0) -> Report:
+                      seed: int = 0) -> Report:
     """Stable Hom vs module Hom over all pairs of cofibrant objects within
     the summand bound.
 
     The induced map is blockwise over summand pairs (the functor is
     additive), so the per-vertex-pair data decides every pair exactly; a
     sample of pairs is additionally verified by assembling the full induced
-    map and rank-checking it."""
+    map and rank-checking it (``EXPLICIT_PAIRS`` of them at most)."""
     cat = rigid.cat
     p = cat.field.p
     mods = {v: module_of(rigid, Obj((v,))) for v in rigid.ts_ind}
@@ -187,7 +192,8 @@ def check_equivalence(rigid: RigidStructure, pair_total: int = 2,
     # honest full-assembly double check on sampled pairs
     rng = np.random.default_rng(seed)
     bad_asm = []
-    for _ in range(min(explicit_pairs, len(objs) ** 2)):
+    explicit = min(EXPLICIT_PAIRS, len(objs) ** 2)
+    for _ in range(explicit):
         x = objs[int(rng.integers(0, len(objs)))]
         y = objs[int(rng.integers(0, len(objs)))]
         d_hom = ac.hom_space_dim(cat, x, y)
@@ -203,6 +209,5 @@ def check_equivalence(rigid: RigidStructure, pair_total: int = 2,
                             "img_rank": img_rank, "module_hom": mh,
                             "stable": d_hom - ideal_dim})
     rep.add("equivalence-explicit-assembly", not bad_asm,
-            f"{min(explicit_pairs, len(objs) ** 2)} sampled pairs assembled "
-            "in full", bad_asm[:3] or None)
+            f"{explicit} sampled pairs assembled in full", bad_asm[:3] or None)
     return rep

@@ -6,11 +6,12 @@ entries kept reduced to [0, p); arithmetic is exact, so every downstream
 equality is an honest equality (no tolerances anywhere).
 
 Every function takes plain arrays and the characteristic: ``array_rref``
-and what is built on it (solve, kernel, inverse); ``fast_rank``, the one
-rank of a single matrix; and ``batch_rank``, which takes the ranks of a
-whole (n, r, c) stack of matrices at once, for searches and suites that
-test many morphisms together; it eliminates in int16, which is exact
-because p <= ``MAX_CHAR`` keeps every product in a row update below 2^15.
+and what is built on it (solve, kernel, inverse, and at odd p
+``fast_rank``, the one rank of a single matrix); and ``batch_rank``, which
+takes the ranks of a whole (n, r, c) stack of matrices at once, for
+searches and suites that test many morphisms together; it eliminates in
+int16, which is exact because p <= ``MAX_CHAR`` keeps every product in a
+row update below 2^15.
 At p = 2, ``fast_rank`` and ``array_solve`` pack each row into an int and
 eliminate by xor (``_xor_echelon``), with the answers of the RREF.
 """
@@ -209,43 +210,13 @@ BATCH_CELLS = 1 << 16
 
 
 def fast_rank(a, p: int) -> int:
-    """Rank of a matrix, tuned for the small ones of the oracle suites.
-
-    For p = 2 rows are packed into Python ints and eliminated by xor; for odd
-    p a plain list-based elimination avoids numpy call overhead.  Agrees with
-    the pivot count of ``array_rref`` everywhere (property-tested).
-    """
-    m = np.asarray(a, dtype=np.int64)
-    if m.ndim != 2:
-        raise ValueError("expected a 2-d array")
-    rows_n, cols = m.shape
-    if rows_n == 0 or cols == 0:
-        return 0
+    """Rank of a matrix: at p = 2 rows are packed into Python ints and
+    eliminated by xor (``_xor_echelon``), for odd p it is the pivot count
+    of ``array_rref``."""
+    m = _as_matrix(a, p)
     if p == 2:
-        return len(_xor_echelon(_pack_rows(m & 1)))
-    rows = [[int(x) % p for x in row] for row in m]
-    rows = [r for r in rows if any(r)]
-    rank = 0
-    for c in range(cols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][c], -1, p)
-        prow = [(x * inv) % p for x in rows[rank]]
-        rows[rank] = prow
-        for i in range(len(rows)):
-            if i != rank and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], prow)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+        return len(_xor_echelon(_pack_rows(m)))
+    return len(array_rref(m, p)[1])
 
 
 def batch_rank(stack, p: int) -> np.ndarray:

@@ -51,11 +51,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import addcat as ac
+from . import rigidmodel as rm
 from .addcat import Mor, Obj
 from .exactlin import array_kernel, array_solve, fast_rank, ragged_rank
 from .meshcat import MeshCategory
 from .report import Report, mor_to_json
-from .rigidmodel import RigidStructure
+from .rigidmodel import RigidStructure, memoized
 
 
 @dataclass
@@ -148,8 +149,9 @@ def lifting_report(rigid: RigidStructure, ell: Mor, r: Mor) -> LiftingReport:
     return LiftingReport(ell, r, square_dim, plain, htp_top, htp_bottom)
 
 
-def _generating_family(rigid: RigidStructure, mult_bound: int = 2,
-                       a_total: int | None = None):
+@memoized
+def _generating_family(rigid: RigidStructure, mult_bound: int,
+                       a_total: int | None):
     """(R, A) pairs for the generating cofibrations: R a multiset of T
     vertices, A an enumerated cofibrant object; ordered small to large.
 
@@ -157,13 +159,6 @@ def _generating_family(rigid: RigidStructure, mult_bound: int = 2,
     dropped: every generator on such a pair is a direct sum of a generator
     on a smaller pair with a trivial one, and lifting against a direct sum
     holds iff it holds against each summand."""
-    cache = getattr(rigid, "_gen_family_cache", None)
-    if cache is None:
-        cache = rigid._gen_family_cache = {}
-    key = (mult_bound, a_total)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     cat = rigid.cat
     froms = []
     counts = itertools.product(range(mult_bound + 1), repeat=len(rigid.t_ind))
@@ -186,7 +181,6 @@ def _generating_family(rigid: RigidStructure, mult_bound: int = 2,
             pairs.append((Obj(rs), a))
     pairs.sort(key=lambda pair: (len(pair[0]) + len(pair[1]),
                                  pair[0].summands, pair[1].summands))
-    cache[key] = pairs
     return pairs
 
 
@@ -198,25 +192,20 @@ class _GeneratorRows:
     sampled: bool       # rows are seeded draws, not all of Hom(R, A)
 
 
+@memoized
 def _generator_rows(rigid: RigidStructure, mult_bound: int,
                     a_total: int | None) -> list[_GeneratorRows]:
     """The generators of every pair of ``_generating_family``, in order:
     the rows ``addcat.coeff_chunks`` takes from Hom(R, A).  Rows with an
     all-zero block for some summand are dropped: they are direct sums of
     smaller generators with trivial ones, covered elsewhere."""
-    cache = getattr(rigid, "_gen_rows_cache", None)
-    if cache is None:
-        cache = rigid._gen_rows_cache = {}
-    hit = cache.get((mult_bound, a_total))
-    if hit is not None:
-        return hit
-    cat, params = rigid.cat, rigid.params
+    cat = rigid.cat
     out = []
     for (r_obj, a_obj) in _generating_family(rigid, mult_bound, a_total):
         layout, dim_g = ac.hom_layout(cat, r_obj, a_obj)
         (rows, sampled), = ac.coeff_chunks(cat.field.p, dim_g,
-                                           params.enum_exp_cap,
-                                           params.sample_count, params.seed)
+                                           rm.ENUM_EXP_CAP, rm.SAMPLE_COUNT,
+                                           rigid.seed)
         if len(r_obj) >= 1 and len(a_obj) >= 1 and dim_g:
             skip = np.zeros(rows.shape[0], dtype=bool)
             for side in (0, 1):
@@ -228,7 +217,6 @@ def _generator_rows(rigid: RigidStructure, mult_bound: int,
                     skip |= ~np.any(rows[:, idx], axis=1)
             rows = rows[~skip]
         out.append(_GeneratorRows(r_obj, a_obj, rows, sampled))
-    cache[(mult_bound, a_total)] = out
     return out
 
 
@@ -356,8 +344,8 @@ def rlp_against_generating_I(rigid: RigidStructure, r: Mor,
     morphism of the generating family, enumerated over the field.
 
     Stops at the first failing generator pair.  Generator spaces beyond
-    ``enum_exp_cap`` are sampled (``addcat.coeff_chunks``), and the
-    returned flag is False if such a pair was reached."""
+    ``rigidmodel.ENUM_EXP_CAP`` are sampled (``addcat.coeff_chunks``), and
+    the returned flag is False if such a pair was reached."""
     gens = _generator_rows(rigid, mult_bound, a_total)
     fail = int(_generating_failures(
         rigid, [(r.dom, r.cod, ac.mor_to_vec(r)[None])], mult_bound,
@@ -368,9 +356,10 @@ def rlp_against_generating_I(rigid: RigidStructure, r: Mor,
 # --------------------------------------------------------------- sampling
 
 
-def objects_up_to(cat: MeshCategory, max_summands: int,
-                  include_zero: bool = True) -> list[Obj]:
-    out = [Obj(())] if include_zero else []
+def objects_up_to(cat: MeshCategory, max_summands: int) -> list[Obj]:
+    """The zero object, then every multiset of 1 to max_summands vertices,
+    by size, then lexicographically."""
+    out = [ac.ZERO]
     for n in range(1, max_summands + 1):
         out.extend(Obj(ms) for ms in
                    itertools.combinations_with_replacement(cat.verts, n))
@@ -436,12 +425,6 @@ def _fib_family(rigid: RigidStructure, pool, rng, count: int) -> list[Mor]:
     return fam[:count]
 
 
-def _inclusion(cat, a_obj: Obj, b_obj: Obj) -> Mor:
-    """The coproduct inclusion [1; 0]: A -> A + B."""
-    return ac.block_mor(cat, [a_obj, b_obj], [a_obj],
-                        [[ac.identity(cat, a_obj)], [None]])
-
-
 def _wcof_family(rigid: RigidStructure, pool, rng, count: int) -> list[Mor]:
     """Canonical inclusions into X + sigma T, conjugated by isomorphisms."""
     cat = rigid.cat
@@ -451,7 +434,7 @@ def _wcof_family(rigid: RigidStructure, pool, rng, count: int) -> list[Mor]:
         k = int(rng.integers(0, 3))
         ts = tuple(rigid.sigma_t_ind[int(rng.integers(0, len(rigid.sigma_t_ind)))]
                    for _ in range(k))
-        inc = _inclusion(cat, x, Obj(ts))
+        inc = ac.inclusion(cat, x, Obj(ts))
         u = _random_iso(cat, inc.cod, rng)
         v = _random_iso(cat, x, rng)
         fam.append(ac.compose(u, ac.compose(inc, v)))
@@ -485,10 +468,8 @@ def run_axiom_suite(cat: MeshCategory, rigid: RigidStructure,
     for q in wfibs:
         z = _sample_obj(pool, rng)
         pb = ac.dsum_mor(q, ac.identity(cat, z))
-        top = ac.block_mor(cat, [q.dom], [q.dom, z],
-                           [[ac.identity(cat, q.dom), None]])
-        bottom = ac.block_mor(cat, [q.cod], [q.cod, z],
-                              [[ac.identity(cat, q.cod), None]])
+        top = ac.projection(cat, q.dom, z)
+        bottom = ac.projection(cat, q.cod, z)
         if ac.compose(q, top) != ac.compose(bottom, pb):
             bad.append(("square does not commute", mor_to_json(q)))
             continue
@@ -523,7 +504,7 @@ def run_axiom_suite(cat: MeshCategory, rigid: RigidStructure,
     for _ in range(n):
         a_obj = _sample_obj(pool, rng)
         b_obj = rigid.ts_list[int(rng.integers(0, len(rigid.ts_list)))]
-        inc = _inclusion(cat, a_obj, b_obj)
+        inc = ac.inclusion(cat, a_obj, b_obj)
         if not all(rlp_all_squares(rigid, inc, q, "plain")
                    for q in wfib_sums):
             bad.append({"A": list(a_obj.summands), "B": list(b_obj.summands)})
@@ -591,7 +572,7 @@ def run_axiom_suite(cat: MeshCategory, rigid: RigidStructure,
     for _ in range(max(4, n // 4)):
         a_obj = _sample_obj(pool, rng)
         b_obj = rigid.ts_list[int(rng.integers(0, len(rigid.ts_list)))]
-        inc = _inclusion(cat, a_obj, b_obj)
+        inc = ac.inclusion(cat, a_obj, b_obj)
         for q in wfibs:
             if not rlp_all_squares(rigid, inc, q, "plain"):
                 bad.append({"cof": mor_to_json(inc), "wfib": mor_to_json(q)})
@@ -638,7 +619,7 @@ def _hom_spaces(rigid: RigidStructure, pool, rng):
     """(x, y, coeffs) for every pair of pool objects, in order, and whether
     all were exhaustive: coeffs is what ``addcat.coeff_chunks`` takes from
     Hom(x, y), sampled spaces drawn from rng."""
-    cat, params = rigid.cat, rigid.params
+    cat = rigid.cat
     spaces = []
     exhaustive = True
     lex: dict[int, np.ndarray] = {}     # read-only, shared by equal dims
@@ -648,8 +629,7 @@ def _hom_spaces(rigid: RigidStructure, pool, rng):
             coeffs = lex.get(d)
             if coeffs is None:
                 (coeffs, sampled), = ac.coeff_chunks(
-                    cat.field.p, d, params.enum_exp_cap,
-                    params.sample_count, rng)
+                    cat.field.p, d, rm.ENUM_EXP_CAP, rm.SAMPLE_COUNT, rng)
                 if sampled:
                     exhaustive = False
                 else:
@@ -692,13 +672,10 @@ def lemma_equivalence_suite(cat: MeshCategory, rigid: RigidStructure,
         "max_summands": max_summands,
     })
     bad_a, bad_b, bad_c, bad_d = [], [], [], []
-    fib_pool: list[Mor] = []
+    # four fibrations, tested as one direct sum (module docstring)
     fib_rng = np.random.default_rng(seed + 1)
-    for _ in range(8):
-        fib_pool.append(rigid.factor_wcof_fib(
-            _sample_mor(cat, pool, fib_rng)).second)
-    # the first four are tested as one direct sum (module docstring)
-    some_fibs = ac.dsum_mor(*fib_pool[:4])
+    some_fibs = ac.dsum_mor(*(rigid.factor_wcof_fib(
+        _sample_mor(cat, pool, fib_rng)).second for _ in range(4)))
     spaces, exhaustive = _hom_spaces(rigid, pool, rng)
     n_pairs = len(_generator_rows(rigid, gen_mult_bound, gen_a_total))
     fails = _generating_failures(rigid, spaces, gen_mult_bound, gen_a_total)

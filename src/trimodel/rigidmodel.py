@@ -30,8 +30,9 @@ Hom(T, -) is built once, not vertex by vertex;
     exact cone fingerprints is a test oracle, not part of the build;
   * cylinders, path objects, right homotopies, homotopy inverses; these,
     the tautological approximations and both factorizations are block
-    matrices such as [f a], [1; 0] and [[1, h], [1, 0]], assembled by
-    ``addcat.block_mor``;
+    matrices such as [f a] and [[1, h], [1, 0]], assembled by
+    ``addcat.block_mor``, and the inclusions [1; 0] and projections [1 0]
+    of ``addcat.inclusion`` and ``addcat.projection``;
   * both factorizations and cofibrant replacements, each returned with
     certified factors (of ``factor_htpcof_wfib`` the second, see
     ``FactorPair``) and exact composite equality.  The domain of the
@@ -40,13 +41,16 @@ Hom(T, -) is built once, not vertex by vertex;
     morphism is the first trivial fibration in ``addcat.coeff_chunks``
     order, found by ``class_masks`` and certified by ``classify``.
 
-Tautological and minimal approximations for the named subcategories and
-cofibrant replacements are memoized per object on the ``RigidStructure``,
-so they live and die with it; callers must not mutate what they return.
-So do the Hom layouts of ``addcat``: building a ``RigidStructure`` starts an
-empty layout memo on its category (``addcat.reset_layouts``), so a sweep
-holds one rigid set's layouts at a time.  Results never depend on it, as a
-layout is a function of its two objects.
+Everything a structure derives once is kept in its one memo dict
+(``memoized``): the subcategory sum objects, the ideal row spaces, the
+tautological and minimal approximations, the cofibrant replacements, the
+verified epsilon maps, ``ts_list`` and the generating family of ``oracle``.
+So all of it lives and dies with the structure; callers must not mutate
+what they get.  The Hom layouts of ``addcat`` are scoped the same way:
+building a ``RigidStructure`` starts an empty layout memo on its category
+(``addcat.reset_layouts``), so a sweep holds one rigid set's layouts at a
+time.  Results never depend on either memo, as each entry is a function of
+its arguments.
 """
 
 from __future__ import annotations
@@ -71,21 +75,34 @@ class NotRigidError(ValueError):
         )
 
 
-@dataclass
-class EnumParams:
-    """Enumeration bounds; the defaults are sized for desk-scale categories.
+# Enumeration bounds, sized for desk-scale categories and read at call time.
+# One rule, ``addcat.coeff_chunks``, decides what the replacement, the
+# generating-family oracle and the lemma suite see of a Hom space of
+# dimension d: all of it while d <= ENUM_EXP_CAP, else SAMPLE_COUNT draws
+# seeded by the structure's seed.  A space taken in one piece holds at most
+# 2^ENUM_EXP_CAP morphisms; a larger one is a failed check.
+TS_TOTAL = 4          # summand bound of ts_list (axiom draws, generating
+                      # family, equivalence pairs, list-ts), not of Q(x)
+ENUM_EXP_CAP = 20
+SAMPLE_COUNT = 500
 
-    One rule, ``addcat.coeff_chunks``, decides what the replacement, the
-    generating-family oracle and the lemma suite see of a Hom space of
-    dimension d: all of it while d <= enum_exp_cap, else sample_count draws
-    seeded by seed.  A space taken in one piece holds at most
-    2^enum_exp_cap morphisms; a larger one is a failed check."""
 
-    ts_total: int = 4    # summand bound of ts_list (axiom draws, generating
-                         # family, equivalence pairs, list-ts), not of Q(x)
-    enum_exp_cap: int = 20
-    sample_count: int = 500
-    seed: int = 0
+def memoized(fn):
+    """fn(rigid, *args), kept in ``rigid.memo`` under (fn's qualified name,
+    *args): the one get-or-build path of a structure's memo, for its methods
+    and for the oracle's functions of it alike.  The arguments are hashable
+    (objects, vertex names, sides, bounds), and the result is shared."""
+    name = fn.__qualname__
+
+    @functools.wraps(fn)
+    def get(rigid, *args):
+        key = (name, *args)
+        hit = rigid.memo.get(key)
+        if hit is None:
+            hit = rigid.memo[key] = fn(rigid, *args)
+        return hit
+
+    return get
 
 
 class Classification:
@@ -176,10 +193,10 @@ class RightHomotopy:
 class RigidStructure:
     """A rigid subcategory with everything the checks derive from it."""
 
-    def __init__(self, cat: MeshCategory, t_ind, params: EnumParams | None = None):
+    def __init__(self, cat: MeshCategory, t_ind, seed: int = 0):
         ac.reset_layouts(cat)
         self.cat = cat
-        self.params = params or EnumParams()
+        self.seed = seed
         self.t_ind = tuple(sorted(set(t_ind)))
         if not self.t_ind:
             raise ValueError("T must be nonempty")
@@ -195,17 +212,16 @@ class RigidStructure:
             u for u in cat.verts
             if all(cat.hom_dim(t, u) == 0 for t in self.t_ind)
         )
-        self._sum_cache: dict = {}
-        self._ideal_cache: dict = {}
-        self._taut_cache: dict = {}
-        self._approx_cache: dict = {}
-        self._replacement_cache: dict = {}
-        self._eps_verified: set = set()
-        self._enumerate_ts()
+        self.memo: dict = {}
+        self.ts_ind = tuple(sorted(v for v in cat.verts
+                                   if self._approx_criterion_cofibrant(v)))
 
     # ------------------------------------------------------------- subcats
 
     def subcat(self, name) -> tuple[str, ...]:
+        """The vertices of a named subcategory ("T", "sigmaT", "perp" or
+        "TS") or of a collection of vertices; memoized methods take a name
+        or a tuple."""
         if isinstance(name, str):
             # read by name: ts_ind is built later, from "perp" approximations
             attr = {"T": "t_ind", "sigmaT": "sigma_t_ind", "perp": "perp_ind",
@@ -215,25 +231,18 @@ class RigidStructure:
             return getattr(self, attr)
         return tuple(sorted(set(name)))
 
+    @memoized
     def subcat_obj(self, name) -> Obj:
         """The direct sum of the subcategory's vertices, the object through
-        which Hom(U, -) and Hom(-, U) are built; one object per named
+        which Hom(U, -) and Hom(-, U) are built; one object per
         subcategory."""
-        if not isinstance(name, str):
-            return Obj(self.subcat(name))
-        hit = self._sum_cache.get(name)
-        if hit is None:
-            hit = self._sum_cache[name] = Obj(self.subcat(name))
-        return hit
+        return Obj(self.subcat(name))
 
     # -------------------------------------------------------------- ideals
 
+    @memoized
     def _ideal_pair(self, key, u: str, v: str):
         """Row space (rref rows, pivots) of the ideal subspace of Hom(u, v)."""
-        ck = (key, u, v)
-        hit = self._ideal_cache.get(ck)
-        if hit is not None:
-            return hit
         cat = self.cat
         p = cat.field.p
         d = cat.hom_dim(u, v)
@@ -248,7 +257,6 @@ class RigidStructure:
             red = red[: len(pivots)]
         else:
             red, pivots = np.zeros((0, d), dtype=np.int64), []
-        self._ideal_cache[ck] = (red, pivots)
         return red, pivots
 
     def ideal_dim_pair(self, key, u: str, v: str) -> int:
@@ -292,21 +300,12 @@ class RigidStructure:
 
     # -------------------------------------------------------- approximations
 
+    @memoized
     def tautological_approx(self, x: Obj, side: str, key) -> Mor:
         """Right: bundle a basis of every Hom(u, x), u in the subcategory;
-        left: dual.  Approximation property holds by construction."""
-        if isinstance(key, str):
-            ck = (x.summands, side, key)
-            hit = self._taut_cache.get(ck)
-            if hit is None:
-                hit = self._taut_cache[ck] = \
-                    self._tautological_approx(x, side, key)
-            return hit
-        return self._tautological_approx(x, side, key)
-
-    def _tautological_approx(self, x: Obj, side: str, key) -> Mor:
-        """One copy of u per basis class of Hom(u, x_j) (right) or
-        Hom(x_j, u) (left), mapped to x_j (from x_j) by that class."""
+        left: dual.  Approximation property holds by construction: one copy
+        of u per basis class of Hom(u, x_j) (right) or Hom(x_j, u) (left),
+        mapped to x_j (from x_j) by that class.  Memoized per object."""
         cat = self.cat
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -349,16 +348,12 @@ class RigidStructure:
         m, _ = self._approx_matrix(f, side, key)
         return fast_rank(m, self.cat.field.p) == m.shape[0]
 
+    @memoized
     def approx(self, x: Obj, side: str, key) -> Mor:
         """Minimal left/right approximation of x by the subcategory: the
         tautological bundle of a vertex greedily minimized (``_minimize``),
-        the sum of those of the summand vertices for a sum (``_approx``).
-        Memoized per object for a named subcategory; callers must not mutate
-        the result."""
-        return self._approx(x, side, key)
-
-    def _approx(self, x: Obj, side: str, key) -> Mor:
-        """``approx``, which calls it for the summand vertices of a sum too.
+        the sum of those of the summand vertices for a sum.  Memoized per
+        object.
 
         The tautological bundle of x holds copy (u, j, k) for class k of
         Hom(u, x_j) (right) or Hom(x_j, u) (left), in that order, and the
@@ -366,37 +361,26 @@ class RigidStructure:
         diagonal over the summands of x, and the greedy pass drops copies
         block by block (the argument of ``classify``): the kept copies are
         those of each vertex approximation, ordered by (u, j, k)."""
-        ck = (x.summands, side, key) if isinstance(key, str) else None
-        hit = self._approx_cache.get(ck)
-        if hit is not None:
-            return hit
         if len(x) == 1:
-            hit = self._minimize(self.tautological_approx(x, side, key),
-                                 side, key)
-        else:
-            right = side == "right"
-            parts = [self._approx(Obj((v,)), side, key) for v in x.summands]
-            ends = [(part.dom if right else part.cod).summands
-                    for part in parts]
-            rank = {u: n for n, u in enumerate(self.subcat(key))}
-            copies = list(enumerate(sorted(
-                ((j, c) for j, end in enumerate(ends)
-                 for c in range(len(end))),
-                key=lambda jc: rank[ends[jc[0]][jc[1]]])))
-            b = Obj(tuple(ends[j][c] for _, (j, c) in copies))
-            if right:
-                hit = Mor(self.cat, b, x, {(j, n): parts[j].blocks[(0, c)]
-                                           for n, (j, c) in copies})
-            else:
-                hit = Mor(self.cat, x, b, {(n, j): parts[j].blocks[(c, 0)]
-                                           for n, (j, c) in copies})
-        if ck is not None:
-            self._approx_cache[ck] = hit
-        return hit
+            return self._minimize(self.tautological_approx(x, side, key),
+                                  side, key)
+        right = side == "right"
+        parts = [self.approx(Obj((v,)), side, key) for v in x.summands]
+        ends = [(part.dom if right else part.cod).summands for part in parts]
+        rank = {u: n for n, u in enumerate(self.subcat(key))}
+        copies = list(enumerate(sorted(
+            ((j, c) for j, end in enumerate(ends) for c in range(len(end))),
+            key=lambda jc: rank[ends[jc[0]][jc[1]]])))
+        b = Obj(tuple(ends[j][c] for _, (j, c) in copies))
+        if right:
+            return Mor(self.cat, b, x, {(j, n): parts[j].blocks[(0, c)]
+                                        for n, (j, c) in copies})
+        return Mor(self.cat, x, b, {(n, j): parts[j].blocks[(c, 0)]
+                                    for n, (j, c) in copies})
 
     def _minimize(self, f: Mor, side: str, key) -> Mor:
         """Greedy minimization of an approximation f (of a vertex, from
-        ``_approx``), on one matrix.
+        ``approx``), on one matrix.
 
         Hom(U, f) (right side) or Hom(f, U) (left side) has one column group
         per summand of the approximating object, so dropping summand k
@@ -503,12 +487,14 @@ class RigidStructure:
         f = self.approx(Obj((v,)), "left", "perp")
         return all(u in self.sigma_t_ind for u in f.cod.summands)
 
-    def _enumerate_ts(self) -> None:
-        self.ts_ind = tuple(sorted(v for v in self.cat.verts
-                                   if self._approx_criterion_cofibrant(v)))
-        self.ts_list = [
-            Obj(ms) for n in range(self.params.ts_total + 1)
-            for ms in itertools.combinations_with_replacement(self.ts_ind, n)]
+    @property
+    @memoized
+    def ts_list(self) -> list[Obj]:
+        """Every multiset of at most ``TS_TOTAL`` cofibrant indecomposables,
+        by size, then lexicographically; built when first read."""
+        return [Obj(ms) for n in range(TS_TOTAL + 1)
+                for ms in itertools.combinations_with_replacement(
+                    self.ts_ind, n)]
 
     def is_cofibrant(self, x: Obj) -> bool:
         """Cones are closed under direct sums and summands, so membership is
@@ -550,7 +536,7 @@ class RigidStructure:
         a, h = got
         u, y = a.cod, f.cod
         idy = ac.identity(cat, y)
-        m = ac.block_mor(cat, [y, u], [y], [[idy], [None]])
+        m = ac.inclusion(cat, y, u)
         q = ac.block_mor(cat, [y, y], [y, u], [[idy, h], [idy, None]])
         K = ac.block_mor(cat, [y, u], [f.dom], [[g], [a]])
         # verify the defining equations exactly
@@ -568,7 +554,7 @@ class RigidStructure:
         u = a.cod
         idx = ac.identity(cat, x)
         i = ac.block_mor(cat, [x, u], [x, x], [[idx, idx], [a, None]])
-        s = ac.block_mor(cat, [x], [x, u], [[idx, None]])
+        s = ac.projection(cat, x, u)
         assert ac.compose(s, i) == \
             ac.block_mor(cat, [x], [x, x], [[idx, idx]])
         assert self.classify(s).weq
@@ -584,7 +570,7 @@ class RigidStructure:
         b = self.tautological_approx(y, "right", "perp")
         w = b.dom
         idy = ac.identity(cat, y)
-        m = ac.block_mor(cat, [y, w], [y], [[idy], [None]])
+        m = ac.inclusion(cat, y, w)
         q = ac.block_mor(cat, [y, y], [y, w], [[idy, b], [idy, None]])
         assert ac.compose(q, m) == \
             ac.block_mor(cat, [y, y], [y], [[idy], [idy]])
@@ -629,8 +615,7 @@ class RigidStructure:
         the codomain."""
         cat = self.cat
         a = self.approx(f.cod, "right", "sigmaT")
-        first = ac.block_mor(cat, [f.dom, a.dom], [f.dom],
-                             [[ac.identity(cat, f.dom)], [None]])
+        first = ac.inclusion(cat, f.dom, a.dom)
         second = ac.block_mor(cat, [f.cod], [f.dom, a.dom], [[f, a]])
         assert ac.compose(second, first) == f
         c1 = self.classify(first)
@@ -654,18 +639,7 @@ class RigidStructure:
         if sol is None:
             raise AssertionError("no lift through the cofibrant replacement")
         ft = ac.vec_to_mor(cat, f.dom, qy_obj, sol)
-        eps = self.approx(f.dom, "left", "perp")
-        # the approximation is memoized, so one verification per domain
-        # covers every later call
-        if f.dom.summands not in self._eps_verified:
-            if not all(v in self.sigma_t_ind for v in eps.cod.summands):
-                raise AssertionError("epsilon verification failed: target "
-                                     f"{eps.cod.summands} outside add "
-                                     "sigma T")
-            if not self.is_approximation(eps, "left", "perp"):
-                raise AssertionError("epsilon verification failed: not a "
-                                     "left perp approximation")
-            self._eps_verified.add(f.dom.summands)
+        eps = self._verified_eps(f.dom)
         first = ac.block_mor(cat, [qy_obj, eps.cod], [f.dom], [[ft], [eps]])
         second = ac.block_mor(cat, [f.cod], [qy_obj, eps.cod], [[q, None]])
         assert ac.compose(second, first) == f
@@ -674,6 +648,21 @@ class RigidStructure:
             raise AssertionError("second factor failed certification")
         return FactorPair(first, second, None, c2)
 
+    @memoized
+    def _verified_eps(self, x: Obj) -> Mor:
+        """The minimal left perp-approximation of x, verified to land in add
+        sigma T; verified once per object, as the approximation is
+        memoized, and never recorded when the verification fails."""
+        eps = self.approx(x, "left", "perp")
+        if not all(v in self.sigma_t_ind for v in eps.cod.summands):
+            raise AssertionError("epsilon verification failed: target "
+                                 f"{eps.cod.summands} outside add sigma T")
+        if not self.is_approximation(eps, "left", "perp"):
+            raise AssertionError("epsilon verification failed: not a left "
+                                 "perp approximation")
+        return eps
+
+    @memoized
     def cofibrant_replacement(self, x: Obj) -> tuple[Obj, Mor]:
         """Minimal cofibrant object with a certified trivial fibration onto x.
 
@@ -688,13 +677,6 @@ class RigidStructure:
         domain and whether the rows were sampled.
         Results are memoized per object; callers must not mutate them.
         """
-        hit = self._replacement_cache.get(x.summands)
-        if hit is None:
-            hit = self._replacement_cache[x.summands] = \
-                self._cofibrant_replacement(x)
-        return hit
-
-    def _cofibrant_replacement(self, x: Obj) -> tuple[Obj, Mor]:
         cat = self.cat
         if self.is_cofibrant(x):
             return x, ac.identity(cat, x)
@@ -705,9 +687,8 @@ class RigidStructure:
         sampled = True    # only a draw-free sample yields no rows at all
         # most searches end within the first rows, so chunks start small
         for rows, sampled in ac.coeff_chunks(
-                cat.field.p, ac.hom_space_dim(cat, qx, x),
-                self.params.enum_exp_cap, self.params.sample_count,
-                self.params.seed, first=16):
+                cat.field.p, ac.hom_space_dim(cat, qx, x), ENUM_EXP_CAP,
+                SAMPLE_COUNT, self.seed, first=16):
             (weq, fib), = self.class_masks([(qx, x, rows)])
             hits = np.flatnonzero(weq & fib)
             if len(hits):
@@ -721,8 +702,8 @@ class RigidStructure:
             f"among the {'sampled' if sampled else 'enumerated'} morphisms")
 
 
-def build_rigid(cat: MeshCategory, t_ind, params: EnumParams | None = None) -> RigidStructure:
-    return RigidStructure(cat, t_ind, params)
+def build_rigid(cat: MeshCategory, t_ind, seed: int = 0) -> RigidStructure:
+    return RigidStructure(cat, t_ind, seed)
 
 
 def all_rigid_subsets(cat: MeshCategory) -> list[tuple[str, ...]]:

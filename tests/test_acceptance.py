@@ -167,24 +167,27 @@ def test_criterion_4_two_out_of_three_and_six(cat_a2, rigids_a2, cat_d4,
 
 
 def test_criterion_5_module_category_equivalence(rigids_a2, rigids_a3,
-                                                 rigids_d4, d4_binding):
+                                                 rigids_d4, d4_binding,
+                                                 monkeypatch):
     checked = 0
+    monkeypatch.setattr(ea, "EXPLICIT_PAIRS", 8)
     for rigids, pair_total in ((rigids_a2, 2), (rigids_a3, 2)):
         for t, rigid in rigids.items():
-            rep = ea.check_equivalence(rigid, pair_total=pair_total,
-                                       explicit_pairs=8)
+            rep = ea.check_equivalence(rigid, pair_total=pair_total)
             assert rep.passed(), (t, [c.name for c in rep.checks
                                       if not c.ok()])
             checked += 1
+    monkeypatch.setattr(ea, "EXPLICIT_PAIRS", 4)
     for t, rigid in rigids_d4.items():
-        rep = ea.check_equivalence(rigid, pair_total=1, explicit_pairs=4)
+        rep = ea.check_equivalence(rigid, pair_total=1)
         assert rep.passed(), (t, [c.name for c in rep.checks if not c.ok()])
         checked += 1
     # depth on the worked example's rigid set and one cluster-tilting set
     deep = [d4_binding.rigid,
             rigids_d4[max(rigids_d4, key=len)]]
+    monkeypatch.setattr(ea, "EXPLICIT_PAIRS", 10)
     for rigid in deep:
-        rep = ea.check_equivalence(rigid, pair_total=2, explicit_pairs=10)
+        rep = ea.check_equivalence(rigid, pair_total=2)
         assert rep.passed(), [c.name for c in rep.checks if not c.ok()]
     _line(5, True, f"stable Hom = module Hom with bijective induced map "
           f"for {checked} rigid sets (100% of pairs within bounds)")

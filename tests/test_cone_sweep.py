@@ -181,10 +181,9 @@ class ConeSweep:
         radical = self.cone_tensors(t1, t0)[0]
         x1, x0 = Obj(t1), Obj(t0)
         d = ac.hom_space_dim(cat, x1, x0)
-        params = self.rigid.params
         for coeff_rows, _ in ac.coeff_chunks(
                 cat.field.p, len(radical), self.pair_cap_exp,
-                params.sample_count, params.seed, first=1024):
+                rm.SAMPLE_COUNT, self.rigid.seed, first=1024):
             rows = np.zeros((len(coeff_rows), d), dtype=np.int64)
             rows[:, radical] = coeff_rows
             fps = self.batch_cone_fps(t1, t0, rows)
@@ -265,9 +264,8 @@ def _assert_sweep_agrees(rigids):
         vertices = sweep.run()
         assert not sweep.disagreements, (t, sweep.disagreements)
         assert vertices == rigid.ts_ind, t
-        ts_total = rigid.params.ts_total
-        assert rigid.ts_list == [Obj(ms) for ms in
-                                 _multisets(vertices, ts_total, ts_total)], t
+        assert rigid.ts_list == [Obj(ms) for ms in _multisets(
+            vertices, rm.TS_TOTAL, rm.TS_TOTAL)], t
 
 
 @pytest.mark.parametrize("name", ["a2", "a3", "d4"])

@@ -138,8 +138,11 @@ def test_kernel_vectors_annihilate(mp):
 @given(small_matrix(max_dim=7))
 @settings(max_examples=200, deadline=None)
 def test_fast_rank_agrees(mp):
+    # odd p is the pivot count of array_rref itself, so its independent
+    # reference is batch_rank
     p, m = mp
-    assert el.fast_rank(m, p) == rref_rank(m, p)
+    want = rref_rank(m, p) if p == 2 else int(el.batch_rank(m[None], p)[0])
+    assert el.fast_rank(m, p) == want
 
 
 def rref_solve(a, b, p: int):

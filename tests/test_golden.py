@@ -125,7 +125,7 @@ def constructions(cat, t_ind, seed=0, n_obj=12, n_mor=25):
     """Every block-matrix construction on seeded objects and morphisms."""
     rigid = rm.build_rigid(cat, t_ind)
     rng = np.random.default_rng(seed)
-    pool = oracle.objects_up_to(cat, 2, include_zero=False)
+    pool = oracle.objects_up_to(cat, 2)[1:]
 
     def draw():
         return pool[int(rng.integers(0, len(pool)))]

@@ -398,7 +398,7 @@ def replacement_oracle(rigid, x):
     candidates of ts_list in size order whose Hom(t, -) dimensions match
     x's, each Hom space in enumeration order, through the full
     ``classify``; it comes up empty where the replacement needs more than
-    ts_total summands."""
+    ``TS_TOTAL`` summands."""
     cat = rigid.cat
     p = cat.field.p
     if rigid.is_cofibrant(x):
@@ -410,13 +410,13 @@ def replacement_oracle(rigid, x):
         if have != want:
             continue
         d = ac.hom_space_dim(cat, cand, x)
-        if p ** d <= p ** rigid.params.enum_exp_cap:
+        if p ** d <= p ** rm.ENUM_EXP_CAP:
             space = ac.enumerate_morphisms(cat, cand, x,
-                                           cap=p ** rigid.params.enum_exp_cap)
+                                           cap=p ** rm.ENUM_EXP_CAP)
         else:
-            rng = np.random.default_rng(rigid.params.seed)
+            rng = np.random.default_rng(rigid.seed)
             space = (ac.random_morphism_rng(cat, cand, x, rng)
-                     for _ in range(rigid.params.sample_count))
+                     for _ in range(rm.SAMPLE_COUNT))
         for q in space:
             if rigid.classify(q).wfib:
                 return cand, q
@@ -480,7 +480,7 @@ def parity_rigids():
 def test_replacement_matches_one_by_one_search(parity_rigids):
     """Every object of at most 2 summands, on every A2 and A3 rigid set and
     two D4 sets.  Where the search through ts_list comes up empty, the
-    replacement's domain is beyond its ts_total summands."""
+    replacement's domain is beyond its ``TS_TOTAL`` summands."""
     from trimodel.oracle import objects_up_to
     raised = 0
     for rigid in parity_rigids:
@@ -493,22 +493,25 @@ def test_replacement_matches_one_by_one_search(parity_rigids):
                 continue
             raised += 1
             qx, q = rigid.cofibrant_replacement(x)
-            assert len(qx) > rigid.params.ts_total, (rigid.t_ind, x)
+            assert len(qx) > rm.TS_TOTAL, (rigid.t_ind, x)
             assert rigid.is_cofibrant(qx) and rigid.classify(q).wfib
     assert raised
 
 
 @pytest.mark.parametrize("p,params", [
     (3, None),
-    (2, rm.EnumParams(enum_exp_cap=2, sample_count=40, seed=5)),
+    (2, {"ENUM_EXP_CAP": 2, "SAMPLE_COUNT": 40}),
 ])
-def test_replacement_matches_one_by_one_search_odd_p_and_sampled(p, params):
+def test_replacement_matches_one_by_one_search_odd_p_and_sampled(
+        p, params, monkeypatch):
     """Odd characteristic, and candidates beyond the exhaustive cap, where
-    both searches take the same seeded draws."""
+    both searches take the same draws, seeded by 5."""
     from trimodel.oracle import objects_up_to
+    for name, value in (params or {}).items():
+        monkeypatch.setattr(rm, name, value)
     cat = mc.build_type_a(3 if params else 2, PrimeField(p))
     for t_set in rm.all_rigid_subsets(cat):
-        rigid = rm.build_rigid(cat, t_set, params)
+        rigid = rm.build_rigid(cat, t_set, seed=5 if params else 0)
         for x in objects_up_to(cat, 2):
             assert _replacement_outcome(
                 rm.RigidStructure.cofibrant_replacement, rigid, x) == \
@@ -518,7 +521,7 @@ def test_replacement_matches_one_by_one_search_odd_p_and_sampled(p, params):
 
 def test_every_d4_replacement_is_certified(rigids_d4):
     """Every object of at most 2 summands on every D4 rigid set at p = 2,
-    some of them replaced by more than ts_total summands."""
+    some of them replaced by more than ``TS_TOTAL`` summands."""
     from trimodel.oracle import objects_up_to
     longest = 0
     for t, rigid in rigids_d4.items():
@@ -528,14 +531,15 @@ def test_every_d4_replacement_is_certified(rigids_d4):
             assert rigid.is_cofibrant(qx), (t, x)
             assert rigid.classify(q).wfib, (t, x)
             longest = max(longest, len(qx))
-    assert longest > rm.EnumParams().ts_total
+    assert longest > rm.TS_TOTAL
 
 
-def test_replacement_failure_names_its_witness(cat):
+def test_replacement_failure_names_its_witness(cat, monkeypatch):
     """With no draws the search finds nothing; the error names the object,
     the constructed domain and that the rows were sampled."""
-    rigid = rm.build_rigid(cat, ["13"], rm.EnumParams(enum_exp_cap=0,
-                                                      sample_count=0))
+    monkeypatch.setattr(rm, "ENUM_EXP_CAP", 0)
+    monkeypatch.setattr(rm, "SAMPLE_COUNT", 0)
+    rigid = rm.build_rigid(cat, ["13"])
     with pytest.raises(RuntimeError, match=r"\['13'\] -> \['14'\] "
                        r"among the sampled"):
         rigid.cofibrant_replacement(ac.obj("14"))
@@ -547,6 +551,22 @@ def test_replacement_is_memoized_and_certified(rigid):
     assert rigid.cofibrant_replacement(ac.obj("14", "35"))[1] is q
     assert rigid.classify(q).wfib
     assert q.dom == qx and q.cod == x
+
+
+def test_derived_state_lives_in_the_one_memo(cat):
+    """Building a structure enumerates no ts_list, and the suites add no
+    attribute to it: what they derive goes to its memo."""
+    from trimodel import endalg, oracle
+    rigid = rm.build_rigid(cat, ["13"])
+    attrs = set(vars(rigid))
+    key = ("RigidStructure.ts_list",)
+    assert key not in rigid.memo
+    oracle.run_axiom_suite(cat, rigid, budget=25)
+    oracle.lemma_equivalence_suite(cat, rigid, gen_a_total=2)
+    endalg.check_equivalence(rigid, pair_total=1)
+    assert set(vars(rigid)) == attrs
+    assert rigid.memo[key] is rigid.ts_list
+    assert ("_generator_rows", 2, 2) in rigid.memo
 
 
 def test_approx_matches_rescanning_greedy(parity_rigids):
