@@ -213,9 +213,14 @@ def fast_rank(a, p: int) -> int:
     """Rank of a matrix: at p = 2 rows are packed into Python ints and
     eliminated by xor (``_xor_echelon``), for odd p it is the pivot count
     of ``array_rref``."""
-    m = _as_matrix(a, p)
+    m = np.asarray(a, dtype=np.int64)
+    if m.ndim != 2:
+        raise ValueError("expected a 2-d array")
+    rows_n, cols = m.shape
+    if rows_n == 0 or cols == 0:
+        return 0
     if p == 2:
-        return len(_xor_echelon(_pack_rows(m)))
+        return len(_xor_echelon(_pack_rows(m & 1)))
     return len(array_rref(m, p)[1])
 
 
