@@ -91,7 +91,10 @@ def memoized(fn):
     """fn(rigid, *args), kept in ``rigid.memo`` under (fn's qualified name,
     *args): the one get-or-build path of a structure's memo, for its methods
     and for the oracle's functions of it alike.  The arguments are hashable
-    (objects, vertex names, sides, bounds), and the result is shared."""
+    (objects, vertex names, sides, bounds), and the result is shared.
+    Module constants an entry reads (``TS_TOTAL``, ``ENUM_EXP_CAP``,
+    ``SAMPLE_COUNT``) are read when it is first built and are not in its
+    key: a structure must be built after they are changed."""
     name = fn.__qualname__
 
     @functools.wraps(fn)

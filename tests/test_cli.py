@@ -244,8 +244,9 @@ def test_axioms_d4_paper_default_rigid_set():
 
 
 def test_axioms_d4_paper_with_replacements_beyond_ts_total():
-    # some objects of this rigid set are replaced by more than ts_total
-    # summands, beyond the cofibrant objects the suite draws from
+    # some objects of this rigid set are replaced by more than
+    # rigidmodel.TS_TOTAL summands, beyond the cofibrant objects the suite
+    # draws from
     r = run_cli("axioms", "--type", "d4-paper", "--T", "M0010,M0001,SP1",
                 "--report", "json")
     assert r.returncode == 0, r.stdout
@@ -257,7 +258,7 @@ def test_axioms_d4_paper_with_replacements_beyond_ts_total():
 
 def test_whole_hom_space_beyond_the_cap_is_a_failed_check():
     # at p = 97 the lemma suite would take all 97^4 morphisms of a
-    # four-dimensional Hom space, more than 2^enum_exp_cap
+    # four-dimensional Hom space, more than 2^rigidmodel.ENUM_EXP_CAP
     r = run_cli("lemmas", "--type", "A", "--rank", "2", "--T", "13",
                 "--field-char", "97", "--report", "json")
     assert r.returncode == 1

@@ -276,9 +276,10 @@ def test_one_morphism_call_matches_per_row_oracle(monkeypatch):
     # samples every generator pair with a nonzero Hom space
     cat = _cat(2, 2)
     pool = oracle.objects_up_to(cat, 2)
+    default = rm.ENUM_EXP_CAP
     for key in ("13", "13,14"):
         cache = {}
-        for cap in (rm.ENUM_EXP_CAP, 0):
+        for cap in (default, 0):
             monkeypatch.setattr(rm, "ENUM_EXP_CAP", cap)
             rigid = rm.build_rigid(cat, key.split(","))
             for x, y in itertools.product(pool, pool):

@@ -129,6 +129,13 @@ def chain_failures_through(cat, key):
     """The failures of chain_by_chain_failures among the chains whose
     equation reads comp[key]: all of them when comp[key] is the only
     tensor changed since that list was empty."""
+    return list(dict.fromkeys(e[:4] for e in equation_failures(cat, key)))
+
+
+def equation_failures(cat, key):
+    """(u, v, w, z, h, g, f, m) for each failing equation, coordinate m of
+    h . (g . f) - (h . g) . f on basis classes f, g, h, among the chains
+    whose equation reads comp[key]."""
     p = cat.field.p
 
     def comp_tensor(u, v, w):
@@ -151,8 +158,8 @@ def chain_failures_through(cat, key):
                         comp_tensor(u, w, z))
         rhs = np.einsum("hgq,qfm->hgfm", cat.comp[(v, w, z)],
                         comp_tensor(u, v, z))
-        if np.any((lhs - rhs) % p):
-            failures.append((u, v, w, z))
+        failures += [(u, v, w, z, *map(int, e))
+                     for e in np.argwhere((lhs - rhs) % p)]
     return failures
 
 
@@ -258,6 +265,48 @@ def test_associativity_corruption_in_every_shape_class(cells, monkeypatch):
                         tuple(rng.randrange(n) for n in t.shape)))
     caught = assert_corruptions_agree(cat, entries, chain_failures_through)
     assert caught == len(entries)
+
+
+def cut_at_length(cat, length):
+    """Make cat.comp the quotient by the classes of path length >= length,
+    on the same bases: every composite of two non-identity morphisms loses
+    its coordinates on those classes.  They span an ideal, as each Hom
+    space of a mesh category is spanned by paths of one length, so the
+    quotient is associative again, and the classes cut off compose to zero
+    with every non-identity morphism."""
+    assert all(len({len(c) for c in b}) <= 1 for b in cat.basis.values())
+    for (u, v, w), t in cat.comp.items():
+        if u != v != w:
+            t[..., np.array([len(c) >= length for c in cat.basis[(u, w)]],
+                            dtype=bool)] = 0
+
+
+@pytest.mark.parametrize("axis,key,idx", [
+    (6, ("M10000", "M21121", "M11110"), (0, 1, 0)),
+    (4, ("M10000", "M21111", "M11110"), (1, 0, 0)),
+    (7, ("M10000", "M11000", "M21121"), (0, 0, 1)),
+], ids=["f", "h", "class"])
+def test_associativity_corruption_only_a_nonzero_index_exposes(axis, key,
+                                                               idx):
+    """A corruption that a check reading only index 0 of each padded block
+    would pass: every failing equation has index 1 for f (the padded row),
+    for h, or for the class of Hom(u, z).  On D5 cut at path length 4,
+    comp[key][idx] = (g, f, class) gains 1, a new coordinate of g . f on a
+    class of that composite.  With f (or g) itself a class cut off, at
+    index 1, the new term is read only where f is that class (or where it
+    is h, as g is then); with the new coordinate on a class cut off, at
+    index 1, nothing reads it further and only that coordinate of
+    Hom(u, z) fails."""
+    cat = build("D5", F2)
+    cut_at_length(cat, 4)
+    assert chain_by_chain_failures(cat) == []
+    cat._check_associativity()
+    cat.comp[key][idx] = (cat.comp[key][idx] + 1) % 2
+    failures = equation_failures(cat, key)
+    assert failures
+    assert all(e[axis] == 1 for e in failures)
+    with pytest.raises(mc.ValidationError, match="associativity fails"):
+        cat._check_associativity()
 
 
 def _tensors_digest(tensors):
