@@ -535,8 +535,11 @@ def coeff_chunks(p: int, d: int, cap_exp: int, draws: int, rng,
         # and p ** (k - 1) < stop fits int64 where p ** (d - 1) may not
         k = min(d, next(j for j in itertools.count() if p ** j >= stop))
         out = np.zeros((stop - start, d), dtype=np.int64)
-        out[:, d - k:] = np.arange(start, stop, dtype=np.int64)[:, None] \
-            // p ** np.arange(k - 1, -1, -1, dtype=np.int64) % p
+        digits = out[:, d - k:]     # written in place: no full-size temporary
+        np.floor_divide(np.arange(start, stop, dtype=np.int64)[:, None],
+                        p ** np.arange(k - 1, -1, -1, dtype=np.int64),
+                        out=digits)
+        digits %= p
         return out
 
     if first is None:

@@ -13,7 +13,9 @@ searches and suites that test many morphisms together; it eliminates in
 int16, which is exact because p <= ``MAX_CHAR`` keeps every product in a
 row update below 2^15.
 At p = 2, ``fast_rank`` and ``array_solve`` pack each row into an int and
-eliminate by xor (``_xor_echelon``), with the answers of the RREF.
+eliminate by xor (``_xor_echelon``), with the answers of the RREF, and
+``batch_rank`` packs each row of a stack into a uint64 word and eliminates
+the whole stack by xor (``_xor_rank``).
 """
 
 from __future__ import annotations
@@ -227,29 +229,43 @@ def fast_rank(a, p: int) -> int:
 def batch_rank(stack, p: int) -> np.ndarray:
     """Rank of every matrix in an (n, r, c) stack, as an int64 array.
 
-    Elimination runs one column at a time, vectorized across the stack: the
-    first row holding the column is the pivot, it is scaled to 1 and cleared
-    out of every row holding the column (itself included, which retires it),
-    and each matrix with a pivot gains one rank.  The shorter side is taken
-    as the columns, so the loop runs min(r, c) times.  The working copy is
-    int16: entries stay in [0, p) and p <= MAX_CHAR = 97, so a product in
-    the row update is at most 96^2 = 9216 and a difference at least -9216.
-    Stacks of more than ``BATCH_CELLS`` cells are ranked slice by slice.
+    At p = 2, when both sides are at most 64, each row is packed into one
+    uint64 word and eliminated by xor (``_xor_rank``); otherwise by
+    ``_int16_rank``.  Stacks of more than ``BATCH_CELLS`` cells are ranked
+    slice by slice.
     """
     m = np.asarray(stack)
     if m.ndim != 3:
         raise ValueError(f"expected an (n, r, c) stack, got shape {m.shape}")
     n, r, c = m.shape
-    rank = np.zeros(n, dtype=np.int64)
     if n == 0 or r == 0 or c == 0:
-        return rank
+        return np.zeros(n, dtype=np.int64)
     per = max(1, BATCH_CELLS // (r * c))
+    if p == 2 and max(r, c) <= 64:
+        rank = _xor_rank
+    else:
+        def rank(part):
+            return _int16_rank(part, p)
     if n > per:
-        return np.concatenate([batch_rank(m[i:i + per], p)
+        return np.concatenate([rank(m[i:i + per])
                                for i in range(0, n, per)])
+    return rank(m)
+
+
+def _int16_rank(m: np.ndarray, p: int) -> np.ndarray:
+    """``batch_rank`` by elimination one column at a time, vectorized across
+    the stack: the first row holding the column is the pivot, it is scaled
+    to 1 and cleared out of every row holding the column (itself included,
+    which retires it), and each matrix with a pivot gains one rank.  The
+    shorter side is taken as the columns, so the loop runs min(r, c) times.
+    The working copy is int16: entries stay in [0, p) and p <= MAX_CHAR =
+    97, so a product in the row update is at most 96^2 = 9216 and a
+    difference at least -9216."""
+    n, r, c = m.shape
     if c > r:
         m, c = m.transpose(0, 2, 1), r
     m = np.ascontiguousarray(m % p, dtype=np.int16)
+    rank = np.zeros(n, dtype=np.int64)
     at = np.arange(n)
     inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int16)
     for k in range(c):
@@ -259,6 +275,33 @@ def batch_rank(stack, p: int) -> np.ndarray:
         pivot = pivot * inv[pivot[:, k]][:, None] % p
         m = (m - col[:, :, None] * pivot[:, None, :]) % p
         rank += hold.any(axis=1)
+    return rank
+
+
+def _xor_rank(m: np.ndarray) -> np.ndarray:
+    """``batch_rank`` over F_2 of a stack with both sides at most 64.  The
+    longer side is packed into one uint64 word per line (``np.packbits``;
+    any fixed order of the bits gives the same rank), and the lines are
+    eliminated in order: a nonzero line gains a rank, and its lowest set
+    bit is cleared from every later line holding it by xor.  Each line
+    then holds no pivot bit of an earlier one, so the nonzero lines are
+    independent and span the row space."""
+    n, r, c = m.shape
+    if r > c:
+        m, r, c = m.transpose(0, 2, 1), c, r
+    packed = np.packbits(np.asarray(m & 1, dtype=np.uint8), axis=2)
+    words = np.zeros((n, r, 8), dtype=np.uint8)
+    words[:, :, :packed.shape[2]] = packed
+    words = words.view(np.uint64)[:, :, 0]
+    rank = np.zeros(n, dtype=np.int64)
+    for i in range(r):
+        line = words[:, i]
+        rank += line != 0
+        if i + 1 < r:
+            low = (line & (~line + np.uint64(1)))[:, None]
+            rest = words[:, i + 1:]
+            np.bitwise_xor(rest, line[:, None], out=rest,
+                           where=(rest & low) != 0)
     return rank
 
 

@@ -19,9 +19,9 @@ Hom(T, -) is built once, not vertex by vertex;
     trivial fibrations (both), and weak cofibrations (split monos with
     complement in add sigma T); ``classify`` decides each flag when it is
     first read, and builds a Hom-functor matrix only where the dimensions
-    leave the verdict open, and ``class_masks`` gives the first two flags
-    for whole Hom spaces at once, through ``addcat.left_mul_tensor`` and
-    batched ranks;
+    leave the verdict open, and ``class_masks`` gives the first two flags,
+    and whether Hom(T, -) vanishes, for whole Hom spaces at once, through
+    ``addcat.left_mul_tensor`` and batched ranks;
   * cofibrant objects: the cones of morphisms between sums of T vertices,
     defined here by the approximation criterion (the minimal left
     perp-approximation of an indecomposable lands in add sigma T); cones
@@ -467,12 +467,12 @@ class RigidStructure:
             return None
         return rest
 
-    def class_masks(self, spaces) -> list[tuple[np.ndarray, np.ndarray]]:
+    def class_masks(self, spaces) -> list[tuple[np.ndarray, ...]]:
         """``classify``'s (weq, fib) flags for every morphism of every
         (x, y, coeffs) of spaces, whose rows are morphisms x -> y in
-        hom_layout coordinates.  Hom(T, f) must be square and of full row
-        rank, Hom(sigma T, f) of full row rank; all of them, over all spaces,
-        are ranked together."""
+        hom_layout coordinates, and a third mask, of Hom(T, f) = 0.
+        Hom(T, f) must be square and of full row rank, Hom(sigma T, f) of
+        full row rank; all of them, over all spaces, are ranked together."""
         p = self.cat.field.p
         ws = (self.subcat_obj("T"), self.subcat_obj("sigmaT"))
         mats = [ac.apply_tensor(ac.left_mul_tensor(self.cat, w, x, y),
@@ -480,7 +480,8 @@ class RigidStructure:
                 for x, y, coeffs in spaces for w in ws]
         full = [r == m.shape[1] for r, m in zip(ragged_rank(mats, p), mats)]
         return [(full[k] & (mats[k].shape[1] == mats[k].shape[2]),
-                 full[k + 1]) for k in range(0, len(mats), 2)]
+                 full[k + 1], ~np.any(mats[k], axis=(1, 2)))
+                for k in range(0, len(mats), 2)]
 
     # ------------------------------------------------------ cofibrant objects
 
@@ -692,7 +693,7 @@ class RigidStructure:
         for rows, sampled in ac.coeff_chunks(
                 cat.field.p, ac.hom_space_dim(cat, qx, x), ENUM_EXP_CAP,
                 SAMPLE_COUNT, self.seed, first=16):
-            (weq, fib), = self.class_masks([(qx, x, rows)])
+            (weq, fib, _), = self.class_masks([(qx, x, rows)])
             hits = np.flatnonzero(weq & fib)
             if len(hits):
                 q = ac.vec_to_mor(cat, qx, x, rows[hits[0]])

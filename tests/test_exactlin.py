@@ -216,6 +216,38 @@ def test_batch_rank_agrees(ps):
     assert got.tolist() == [rref_rank(m, p) for m in stack]
 
 
+@st.composite
+def f2_stack(draw):
+    """An (n, r, c) stack over F_2: 0 to 12 rows, 0 to 64 columns, each
+    matrix a product through an inner dimension, so rank-deficient cases
+    are common."""
+    n, r, c = (draw(st.integers(0, hi)) for hi in (5, 12, 64))
+    k = draw(st.integers(0, min(r, c)))
+    left = draw(st.lists(st.integers(0, 1), min_size=n * r * k,
+                         max_size=n * r * k))
+    right = draw(st.lists(st.integers(0, 1), min_size=n * k * c,
+                          max_size=n * k * c))
+    return (np.array(left, dtype=np.int64).reshape(n, r, k)
+            @ np.array(right, dtype=np.int64).reshape(n, k, c)) % 2
+
+
+@given(f2_stack())
+@example(np.zeros((0, 3, 4), dtype=np.int64))
+@example(np.zeros((2, 0, 5), dtype=np.int64))
+@example(np.zeros((2, 5, 0), dtype=np.int64))
+@example(np.ones((3, 1, 64), dtype=np.int64))
+@example(np.ones((1, 12, 1), dtype=np.int64))
+@example(np.eye(12, 64, dtype=np.int64)[None])
+@settings(max_examples=300, deadline=None)
+def test_packed_rank_agrees_with_int16_rank(stack):
+    """At p = 2 ``batch_rank`` packs rows into words; its ranks are those
+    of the int16 elimination that odd p uses, and of the RREF."""
+    got = el.batch_rank(stack, 2)
+    assert got.dtype == np.int64 and got.shape == (len(stack),)
+    assert got.tolist() == el._int16_rank(stack, 2).tolist() \
+        == [rref_rank(m, 2) for m in stack]
+
+
 @pytest.mark.parametrize("p", [2, 3, 97])
 @pytest.mark.parametrize("r,c", [(5, 70), (70, 5), (70, 70)])
 def test_batch_rank_large_sides(p, r, c):

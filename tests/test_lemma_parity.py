@@ -202,13 +202,10 @@ def batched_records(cat, rigid, max_summands=2, seed=0, gen_mult_bound=2,
     fails = oracle._generating_failures(rigid, spaces, gen_mult_bound,
                                         gen_a_total)
     records = []
-    for (x, y, coeffs), fail, (weq, fib) in zip(
+    for (x, y, coeffs), fail, (weq, fib, zero) in zip(
             spaces, fails, rigid.class_masks(spaces)):
         in_ideal = oracle._in_span(rigid.ideal_span_matrix("perp", x, y),
                                    coeffs, p)
-        zero = ~np.any(ac.apply_tensor(
-            ac.left_mul_tensor(cat, ac.Obj(rigid.t_ind), x, y), coeffs, p),
-            axis=(1, 2))
         a = rigid.tautological_approx(x, "left", "perp")
         solvable = oracle._in_span(ac.right_mul_matrix(a, y), coeffs, p)
         rest = rigid.split_mono_complement(x, y)
@@ -424,3 +421,100 @@ def test_broken_structure_reports_the_same_first_witnesses(breakage,
     assert not want.passed()
     assert any(len(c.witnesses or []) == 3 for c in want.checks)
     assert emit_report(got, "json") == emit_report(want, "json")
+
+
+def _every_row(rigid, r_obj, a_obj):
+    """``_generator_rows`` of one pair before the cut to one row per orbit:
+    every row ``coeff_chunks`` takes from Hom(R, A), less those with an
+    all-zero block for some summand."""
+    cat = rigid.cat
+    layout, dim_g = ac.hom_layout(cat, r_obj, a_obj)
+    (rows, sampled), = ac.coeff_chunks(cat.field.p, dim_g, rm.ENUM_EXP_CAP,
+                                       rm.SAMPLE_COUNT, rigid.seed)
+    if len(r_obj) and len(a_obj) and dim_g:
+        keep = np.ones(len(rows), dtype=bool)
+        for side in (0, 1):
+            groups = {}
+            for ij, off, d in layout:
+                groups.setdefault(ij[side], []).extend(range(off, off + d))
+            for idx in groups.values():
+                keep &= np.any(rows[:, idx], axis=1)
+        rows = rows[keep]
+    return oracle._GeneratorRows(r_obj, a_obj, rows, sampled)
+
+
+def _exactness_sets():
+    """(kind, p, rigid set, max summands of the tested objects)."""
+    d4 = _tensor_cat("D4", 2)
+    d4_sets = rm.all_rigid_subsets(d4)
+    rng = np.random.default_rng(24)
+    return ([("A2", 2, key, 2) for key in _a2_sets()]
+            + [("A2", 3, key, 2) for key in _a2_sets()]
+            + [("A3", 2, key, 2) for key in _a3_subset()]
+            + [("D4", 2, ",".join(d4_sets[int(i)]), 1)
+               for i in rng.choice(len(d4_sets), size=2, replace=False)])
+
+
+EXACTNESS = _exactness_sets()
+
+
+@pytest.mark.parametrize("kind,p,key,summands", EXACTNESS,
+                         ids=[f"{k}-p{p}-{t}" for k, p, t, _ in EXACTNESS])
+def test_one_row_per_orbit_gives_the_failures_of_every_row(
+        monkeypatch, kind, p, key, summands):
+    cat = _tensor_cat("D4", p) if kind == "D4" else _cat(int(kind[1]), p)
+    rigid = rm.build_rigid(cat, key.split(","))
+    spaces, _ = oracle._hom_spaces(rigid, oracle.objects_up_to(cat, summands),
+                                   np.random.default_rng(0))
+    cut = oracle._generator_rows(rigid, 2, 2)
+    every = [_every_row(rigid, r_obj, a_obj)
+             for r_obj, a_obj in oracle._generating_family(rigid, 2, 2)]
+    assert sum(map(len, (g.rows for g in cut))) \
+        < sum(map(len, (g.rows for g in every)))
+    got = oracle._generating_failures(rigid, spaces, 2, 2)
+    monkeypatch.setattr(oracle, "_generator_rows", lambda *a: every)
+    want = oracle._generating_failures(rigid, spaces, 2, 2)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+# (kind, p, rigid set, multiplicity bound, R, A): small pairs with
+# nontrivial automorphisms; the D4 ones have a two-dimensional block in
+# Hom(R, A), and multiplicity 1 keeps their family small
+ORBIT_PAIRS = [
+    ("A2", 2, "13,14", 2, ("13", "13"), ("13", "14")),
+    ("A2", 2, "13,14", 2, ("13", "14"), ("14", "14")),
+    ("A2", 3, "13,14", 2, ("13", "13"), ("13", "14")),
+    ("A2", 3, "13,14", 2, ("13", "14"), ("14", "14")),
+    ("A2", 3, "14,24", 2, ("14", "24"), ("24", "25")),
+    ("D4", 2, "M0001,SP0,SP1,SP2", 1, ("SP0",), ("M1000", "M1000")),
+    ("D4", 2, "M0001,SP0,SP1,SP2", 1, ("M0001", "SP0"), ("M1000", "M1000")),
+    ("D4", 2, "M0001,SP0,SP1,SP2", 1, ("SP0", "SP1", "SP2"),
+     ("M1000", "SP1")),
+]
+
+
+@pytest.mark.parametrize("kind,p,key,mult,r,a", ORBIT_PAIRS)
+def test_generator_rows_are_one_per_orbit(kind, p, key, mult, r, a):
+    """Against Aut(A) and Aut(R) enumerated with ``is_iso``: the kept rows
+    lie in distinct orbits of g -> u g v, and every other row of the pair
+    is u g v of a kept row g."""
+    cat = _tensor_cat("D4", p) if kind == "D4" else _cat(int(kind[1]), p)
+    rigid = rm.build_rigid(cat, key.split(","))
+    r_obj, a_obj = ac.Obj(r), ac.Obj(a)
+    k = oracle._generating_family(rigid, mult, 2).index((r_obj, a_obj))
+    assert any(d == 2 for _, _, d in ac.hom_layout(cat, r_obj, a_obj)[0]) \
+        == (kind == "D4")
+    kept = oracle._generator_rows(rigid, mult, 2)[k].rows
+    rows = {tuple(g) for g in _every_row(rigid, r_obj, a_obj).rows}
+    auts = [[u for u in ac.enumerate_morphisms(cat, x, x) if ac.is_iso(u)]
+            for x in (a_obj, r_obj)]
+    assert len(auts[0]) * len(auts[1]) > 1
+    seen = set()
+    for g in kept:
+        f = ac.vec_to_mor(cat, r_obj, a_obj, g)
+        orbit = {tuple(ac.mor_to_vec(ac.compose(u, ac.compose(f, v))))
+                 for u in auts[0] for v in auts[1]}
+        assert tuple(g) in rows and not orbit & seen
+        seen |= orbit
+    assert rows <= seen
+    assert len(kept) < len(rows)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -321,10 +323,10 @@ def test_generating_failures_in_small_stacks(monkeypatch, p, rank, t_set,
     rigid_k = rm.build_rigid(cat_k, t_set)
     spaces, _ = oracle._hom_spaces(rigid_k, oracle.objects_up_to(cat_k, 2),
                                    np.random.default_rng(0))
-    ragged_rank = oracle.ragged_rank
+    batch_rank = oracle.batch_rank
     calls = []
-    monkeypatch.setattr(oracle, "ragged_rank", lambda *a: (
-        calls.append(1) or ragged_rank(*a)))
+    monkeypatch.setattr(oracle, "batch_rank", lambda *a: (
+        calls.append(1) or batch_rank(*a)))
     want = oracle._generating_failures(rigid_k, spaces, 2, 2)
     whole = len(calls)
     monkeypatch.setattr(oracle, "STACK_CELLS", cells)
@@ -333,3 +335,18 @@ def test_generating_failures_in_small_stacks(monkeypatch, p, rank, t_set,
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert any(np.any(f < len(oracle._generator_rows(rigid_k, 2, 2)))
                for f in want)
+
+
+def test_lemma_suite_one_rank_up_a4_cluster_tilting():
+    """The lemma suite on the cluster-tilting set 27,37,47,57 of A4 at
+    p = 2: it passes, exhaustively, within criterion 2's 60 s bound."""
+    cat4 = mc.build_type_a(4, PrimeField(2))
+    rigid4 = rm.build_rigid(cat4, ["27", "37", "47", "57"])
+    t0 = time.time()
+    rep = oracle.lemma_equivalence_suite(cat4, rigid4, max_summands=2,
+                                         seed=0, gen_a_total=2)
+    elapsed = time.time() - t0
+    assert rep.passed(), [c.name for c in rep.checks if not c.ok()]
+    assert all(c.details == "exhaustive" for c in rep.checks
+               if c.name.startswith(("lemma-ideal", "lemma-generating")))
+    assert elapsed < 60, elapsed

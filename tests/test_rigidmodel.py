@@ -691,7 +691,7 @@ def test_classify_and_class_masks_match_per_vertex_oracle(cat, t_set, pairs):
     for x, y in spaces:
         d = ac.hom_space_dim(cat, x, y)
         rows = next(ac.coeff_chunks(p, d, 20, 0, 0))[0]
-        (weq, fib), = rigid.class_masks([(x, y, rows)])
+        (weq, fib, _), = rigid.class_masks([(x, y, rows)])
         for row, mask in zip(rows, zip(weq, fib)):
             f = ac.vec_to_mor(cat, x, y, row)
             want = per_vertex_classes(rigid, f)
@@ -715,7 +715,7 @@ def test_square_sum_with_a_non_square_vertex_is_not_weq():
     assert ac.left_mul_matrix(f, ac.obj("14")).shape == (0, 1)
     assert not per_vertex_classes(rigid, f)[0]
     assert not rigid.classify(f).weq
-    (weq, _), = rigid.class_masks([(x, y, ac.mor_to_vec(f)[None])])
+    (weq, _, _), = rigid.class_masks([(x, y, ac.mor_to_vec(f)[None])])
     assert not weq[0]
 
 
