@@ -33,19 +33,18 @@ g.  The orbits come from a union-find walk over the elementary
 automorphisms (``_generator_rows``).  Every morphism of every space
 sits in one flat array, and per pair the lifting matrices of every live
 morphism against every generator row form one stack for lam and one for
-psi, padded to the pair's widest Hom spaces (at odd p, one per exact
-shape), ranked by ``batch_rank`` in slices of at most ``STACK_CELLS``
-cells; at p = 2 it packs each row into a word and eliminates by xor.  The
-stacks are assembled from Hom(w, f), a ``left_mul_tensor`` contraction
-built once per object w over the live morphisms, and from the vertex
-stacks Hom(g, z) of the generator rows, a ``right_mul_tensor``
-contraction per vertex z.  The lemma suite runs one Hom space at
-a time: every morphism of Hom(x, y) is a row of a coefficient array, ideal
-membership and solvability of the homotopy correction are products with
-annihilators of row spaces, and the weq / fib flags are batched ranks of
-Hom(T, -) and Hom(sigma T, -), with T and sigma T the sums of their
-vertices; Hom(T, -) vanishes on a row iff that row's matrix in the same
-stack is zero (``RigidStructure.class_masks``;
+psi, padded to the pair's widest Hom spaces, ranked by ``batch_rank``
+in slices of at most ``STACK_CELLS`` cells; at p = 2 it packs each row
+into a word and eliminates by xor.  The stacks are assembled from
+Hom(w, f), a ``left_mul_tensor`` contraction built once per object w over
+the live morphisms, and from the vertex stacks Hom(g, z) of the generator
+rows, a ``right_mul_tensor`` contraction per vertex z.  The lemma suite
+runs one Hom space at a time: every morphism of Hom(x, y) is a row of a
+coefficient array, ideal membership and solvability of the homotopy
+correction are products with annihilators of row spaces, and the weq / fib
+flags are batched ranks of Hom(T, -) and Hom(sigma T, -), with T and
+sigma T the sums of their vertices; Hom(T, -) vanishes on a row iff that
+row's matrix in the same stack is zero (``RigidStructure.class_masks``;
 ``RigidStructure.classify`` says why the sum objects decide as their
 vertices do).  Only the weak-cofibration test (a retraction solve and
 lifting checks) stays per morphism.
@@ -54,7 +53,7 @@ lifting checks) stays per morphism.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -198,19 +197,6 @@ class _GeneratorRows:
     a_obj: Obj
     rows: np.ndarray    # generators R -> A, hom_layout coordinates
     sampled: bool       # rows are seeded draws, not all of Hom(R, A)
-    # Hom(g, v) for every row g, by vertex v, built when first asked for and
-    # kept with the rows (in the structure's memo), so that one-morphism
-    # calls share them
-    maps: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def hom_to(self, cat: MeshCategory, v: str) -> np.ndarray:
-        """The (rows, dim Hom(R, v), dim Hom(A, v)) stack of Hom(g, v)."""
-        hit = self.maps.get(v)
-        if hit is None:
-            hit = self.maps[v] = ac.apply_tensor(ac.right_mul_tensor(
-                cat, self.r_obj, self.a_obj, Obj((v,))), self.rows,
-                cat.field.p).astype(np.int8)
-        return hit
 
 
 def _primitive_root(p: int) -> int:
@@ -372,9 +358,9 @@ def _generating_failures(rigid: RigidStructure, spaces, mult_bound: int,
 
     Hom(w, f) is built once per object w over the live morphisms, and
     compacted as morphisms drop out.  Hom(g, Z) is assembled per pair from
-    the vertex stacks Hom(g, z) of ``_GeneratorRows.hom_to``: ``hom_layout``
-    groups Hom(R, Z) and Hom(A, Z) by the summand of Z first, so Hom(g, z1
-    + z2) is block diagonal."""
+    the vertex stacks Hom(g, z), one ``right_mul_tensor`` contraction per
+    vertex z: ``hom_layout`` groups Hom(R, Z) and Hom(A, Z) by the summand
+    of Z first, so Hom(g, z1 + z2) is block diagonal."""
     cat = rigid.cat
     p = cat.field.p
     gens = _generator_rows(rigid, mult_bound, a_total)
@@ -442,12 +428,17 @@ def _generating_failures(rigid: RigidStructure, spaces, mult_bound: int,
         # Hom(g, Z) of every object used, block diagonal over its summands
         hom_g = np.zeros((len(used), n_g, d_r[used].max(), d_a[used].max()),
                          dtype=np.int8)
+        to_vertex: dict[str, np.ndarray] = {}      # Hom(g, v) by vertex v
         for u, o in enumerate(used):
             if not (d_r[o] and d_a[o]):
                 continue        # Hom(g, Z) has no entries
             r0 = a0 = 0
             for v in objs[o].summands:
-                block = gen.hom_to(cat, v)
+                block = to_vertex.get(v)
+                if block is None:
+                    block = to_vertex[v] = ac.apply_tensor(
+                        ac.right_mul_tensor(cat, gen.r_obj, gen.a_obj,
+                                            Obj((v,))), gen.rows, p)
                 _, dr, da = block.shape
                 hom_g[u, :, r0:r0 + dr, a0:a0 + da] = block
                 r0, a0 = r0 + dr, a0 + da
@@ -456,40 +447,30 @@ def _generating_failures(rigid: RigidStructure, spaces, mult_bound: int,
         h_r = hom_stack(gen.r_obj)
         h_a_t = hom_stack(gen.a_obj).transpose(0, 2, 1)
         failed = np.zeros(len(live), dtype=bool)
-        # at p = 2 all morphisms share one stack padded to the widest, which
-        # the packed rank eliminates cheaply; at odd p padding costs
-        # elimination steps, so each exact shape has its own stacks
-        if p == 2:
-            groups = [on]
-        else:
-            _, group = np.unique(shape[:, on], axis=1, return_inverse=True)
-            groups = [on[group == g] for g in range(group.max() + 1)]
-        for grp in groups:
-            rows_lam, split, rows_psi, width = shape[:, grp].max(axis=1)
-            width += split
-            # (morphism, generator row) pairs of one stack: whole morphisms
-            # when a morphism's rows fit, else slices of one morphism's rows
-            per = max(1, STACK_CELLS // max(1, (rows_lam + rows_psi) * width))
-            step = per // n_g
-            blocks = ((i, i + step, 0, n_g)
-                      for i in range(0, len(grp), step)) if step else \
-                ((i, i + 1, g0, min(g0 + per, n_g))
-                 for i in range(len(grp)) for g0 in range(0, n_g, per))
-            for i0, i1, g0, g1 in blocks:
-                at = grp[i0:i1]
-                m, n = len(at), g1 - g0
-                lam = np.empty((m, n, rows_lam, width), dtype=np.int8)
-                lam[..., :split] = h_r[at, None, :rows_lam, :split]
-                lam[..., split:] = neg_y[at_used[ly[at]], g0:g1,
-                                         :rows_lam, :width - split]
-                psi = np.empty((m, n, rows_psi, width), dtype=np.int8)
-                psi[..., :split] = x_t[at_used[lx[at]], g0:g1,
-                                       :rows_psi, :split]
-                psi[..., split:] = h_a_t[at, None, :rows_psi, :width - split]
-                ranks = batch_rank(lam.reshape(m * n, rows_lam, width), p) \
-                    + batch_rank(psi.reshape(m * n, rows_psi, width), p)
-                failed[at] |= np.any(ranks.reshape(m, n) != cols[at, None],
-                                     axis=1)
+        rows_lam, split, rows_psi, width = shape[:, on].max(axis=1)
+        width += split
+        # (morphism, generator row) pairs of one stack: whole morphisms when
+        # a morphism's rows fit, else slices of one morphism's rows
+        per = max(1, STACK_CELLS // max(1, (rows_lam + rows_psi) * width))
+        step = per // n_g
+        blocks = ((i, i + step, 0, n_g)
+                  for i in range(0, len(on), step)) if step else \
+            ((i, i + 1, g0, min(g0 + per, n_g))
+             for i in range(len(on)) for g0 in range(0, n_g, per))
+        for i0, i1, g0, g1 in blocks:
+            at = on[i0:i1]
+            m, n = len(at), g1 - g0
+            lam = np.empty((m, n, rows_lam, width), dtype=np.int8)
+            lam[..., :split] = h_r[at, None, :rows_lam, :split]
+            lam[..., split:] = neg_y[at_used[ly[at]], g0:g1,
+                                     :rows_lam, :width - split]
+            psi = np.empty((m, n, rows_psi, width), dtype=np.int8)
+            psi[..., :split] = x_t[at_used[lx[at]], g0:g1, :rows_psi, :split]
+            psi[..., split:] = h_a_t[at, None, :rows_psi, :width - split]
+            ranks = batch_rank(lam.reshape(m * n, rows_lam, width), p) \
+                + batch_rank(psi.reshape(m * n, rows_psi, width), p)
+            failed[at] |= np.any(ranks.reshape(m, n) != cols[at, None],
+                                 axis=1)
         fails[live[failed]] = k
         live = live[~failed]
     return list(np.split(fails, starts[1:-1]))

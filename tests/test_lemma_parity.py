@@ -494,10 +494,13 @@ ORBIT_PAIRS = [
 
 
 @pytest.mark.parametrize("kind,p,key,mult,r,a", ORBIT_PAIRS)
-def test_generator_rows_are_one_per_orbit(kind, p, key, mult, r, a):
+def test_generator_rows_are_one_per_orbit(monkeypatch, kind, p, key, mult,
+                                          r, a):
     """Against Aut(A) and Aut(R) enumerated with ``is_iso``: the kept rows
     lie in distinct orbits of g -> u g v, and every other row of the pair
-    is u g v of a kept row g."""
+    is u g v of a kept row g.  The orbit labels do not depend on how
+    ``ORBIT_CELLS`` splits the walk: with 4 cells the maps come one per
+    batch and the rows in slices."""
     cat = _tensor_cat("D4", p) if kind == "D4" else _cat(int(kind[1]), p)
     rigid = rm.build_rigid(cat, key.split(","))
     r_obj, a_obj = ac.Obj(r), ac.Obj(a)
@@ -518,3 +521,11 @@ def test_generator_rows_are_one_per_orbit(kind, p, key, mult, r, a):
         seen |= orbit
     assert rows <= seen
     assert len(kept) < len(rows)
+    (every, _), = ac.coeff_chunks(p, ac.hom_space_dim(cat, r_obj, a_obj),
+                                  rm.ENUM_EXP_CAP, rm.SAMPLE_COUNT, rigid.seed)
+    maps = oracle._automorphism_maps(cat, r_obj, a_obj,
+                                     oracle._primitive_root(p))
+    want = oracle._orbit_labels(every, maps, p)
+    monkeypatch.setattr(oracle, "ORBIT_CELLS", 4)
+    assert len(maps) > 1 and len(every) > 4
+    assert np.array_equal(oracle._orbit_labels(every, maps, p), want)
