@@ -29,7 +29,10 @@ is a combination of later paths, so only basis classes need extending.
 The composition constants are built and checked with the source vertex as
 a batch axis, each block zero-padded only to the largest Hom dimension into
 its vertex.  The build takes one batched product per basis path out of a
-vertex, for every source at once.  ``validate`` checks the mesh relations
+vertex, for every source at once, and writes it into int64 stacks, one per
+block shape, that hold the constants once: each ``comp`` entry is a
+writable view of its block there, and the associativity check reads the
+stacks themselves.  ``validate`` checks the mesh relations
 and associativity exhaustively: the triples (v, w, z) of nonzero Hom(v, w)
 and Hom(w, z) fall into classes by the padded block shapes of their three
 Hom spaces, and each class is compared a chunk of triples at a time, for
@@ -44,25 +47,25 @@ category knitted from the projectives, one extra vertex per projective for
 its suspension, arrows completed under the translation rule).
 
 This module also owns the suspension: ``sigma`` is stored as a vertex
-permutation (equal to tau for the builders here) and induces maps of basis
-classes used by the additive layer.
+permutation (equal to tau for the builders here) that commutes with tau
+and maps arrows to arrows, and its maps of basis classes, ``sigma_map``,
+are built when first read.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exactlin import PrimeField, array_rref, fast_rank
+from .exactlin import PrimeField, array_rref
 
 Path = tuple[int, ...]
 
 # cells of the largest array one chunk of the associativity check makes;
-# the check also reads this many comp keys, and enumerates 16 times as
-# many triples, at a time
+# the check also enumerates 16 times as many triples at a time
 ASSOC_CELLS = 1 << 13
 
 
@@ -128,10 +131,13 @@ def make_quiver(vertices, arrows, tau, sigma=None) -> TransQuiver:
     for x in verts:
         if into[x] != outof[tau[x]]:
             raise ValidationError(f"mesh structure violated at vertex {x!r}")
-    # sigma must act on arrows
+    # sigma must act on arrows and commute with tau
     for src, tgt, _ in arrs:
         if (sigma[src], sigma[tgt]) not in seen_pairs:
             raise ValidationError("sigma is not a quiver automorphism")
+    for x in verts:
+        if sigma[tau[x]] != tau[sigma[x]]:
+            raise ValidationError(f"sigma does not commute with tau at {x!r}")
     return TransQuiver(verts, tuple(arrs), tau, sigma)
 
 
@@ -144,9 +150,11 @@ class MeshCategory:
       hom_dims[(u, v)]     the same dimensions as plain ints
       basis[(u, v)]        ordered list of representative paths
       comp[(u, v, w)]      int64 tensor C with C[j, i, k] the coefficient of
-                           basis_k(u, w) in basis_j(v, w) . basis_i(u, v)
+                           basis_k(u, w) in basis_j(v, w) . basis_i(u, v);
+                           a writable view into the stacks validate reads
       radical_length       least L with every length >= L class zero
-      sigma_map[(u, v)]    matrix of the suspension on Hom(u, v)
+      sigma_map[(u, v)]    matrix of the suspension on Hom(u, v), built
+                           when first read
       signs                "plus": every mesh relation has unit coefficients
     """
 
@@ -167,7 +175,6 @@ class MeshCategory:
         self._build_hom(max_len_cap)
         self.hom_dims = {(u, v): len(b) for (u, v), b in self.basis.items()}
         self._build_comp()
-        self._build_sigma()
 
     # ------------------------------------------------------------------ build
 
@@ -279,20 +286,48 @@ class MeshCategory:
         Hom(u, v).  A basis path is a basis path one arrow shorter followed
         by an arrow, so each slice is the arrow matrix times its prefix's.
 
-        The source u is a batch axis.  Per vertex v, slice j of ts[w] holds
-        the matrices of basis_j(v, w) for every u at once, shape (|V|,
-        pad[v], pad[w]), where pad[x] is the largest dim Hom(u, x) over u
-        and each block is zero-padded to it; so each basis path out of v
-        takes one batched product, its prefix's slice times the stacked
-        right multiplications by its last arrow.  The padding stays zero,
-        and comp[(u, v, w)] is the top-left block of slice u, for each u
-        with Hom(u, v) nonzero."""
+        The source u is a batch axis, and the constants are stored once,
+        in the stacks that ``_check_associativity`` reads.  src[v] lists
+        the sources u of Hom(u, v) != 0 in vertex order, then the sentinel
+        |V|; pos[v, u] is the position of u in src[v], or the last position
+        when Hom(u, v) = 0 (also for u = |V|).  lam(v, w) is row slot[v, w]
+        of stacks[kind[v, w]] (kind -1 when Hom(v, w) = 0), one int64 stack
+        per shape (count, dim Hom(v, w), width, pad[v], pad[w]), where
+        pad[x] is the largest dim Hom(u, x) over u and width is one more
+        than the most sources of any vertex.  Slice j of lam(v, w) holds
+        the matrices of basis_j(v, w) at the sources of v, each block
+        zero-padded to (pad[v], pad[w]), so each basis path out of v takes
+        one batched product, its prefix's slice times the stacked right
+        multiplications by its last arrow.  The padding and the slots past
+        the sources of v stay zero, and comp[(u, v, w)] is the writable
+        view lam(v, w)[:, pos[v, u], :dim Hom(u, v), :dim Hom(u, w)]."""
         p = self.field.p
         V = self.verts
         n = len(V)
         dims = self.dims
-        dl = dims.tolist()
-        pad = dims.max(axis=0).tolist()
+        nz = dims > 0
+        pad = dims.max(axis=0)
+        base = int(pad.max()) + 1
+        counts = nz.sum(axis=0)
+        width = int(counts.max()) + 1
+        xs, us = np.nonzero(nz.T)
+        js = np.arange(len(xs)) - np.repeat(np.cumsum(counts) - counts, counts)
+        src = np.full((n, width), n, dtype=np.intp)
+        src[xs, js] = us
+        pos = np.full((n, n + 1), width - 1, dtype=np.intp)
+        pos[xs, us] = js
+        pv, pw = np.nonzero(nz)
+        kind = np.full_like(dims, -1)
+        slot = np.zeros_like(dims)
+        stacks = []
+        for rows in _groups((dims[pv, pw] * base + pad[pv]) * base + pad[pw]):
+            v, w = pv[rows], pw[rows]
+            kind[v, w] = len(stacks)
+            slot[v, w] = np.arange(len(rows))
+            stacks.append(np.zeros((len(rows), dims[v[0], w[0]], width,
+                                    pad[v[0]], pad[w[0]]), dtype=np.int64))
+        self._stacks, self._kind, self._slot = stacks, kind, slot
+        self._src, self._pos = src, pos
         index = {(v, w): {pp: j for j, pp in enumerate(b)}
                  for (v, w), b in self.basis.items()}
         # basis paths out of each v, shortest first, so each prefix comes first
@@ -300,62 +335,54 @@ class MeshCategory:
                          for j, q in enumerate(self.basis[(v, w)]))
                for v in V}
         # right[a][u] is right multiplication by a: s -> t on Hom(u, s),
-        # transposed and padded to (pad[s], pad[t])
+        # transposed and padded to (pad[s], pad[t]); right[a][|V|] is zero
         right = []
         for a, (s, t, _) in enumerate(self.arrows):
-            r = np.zeros((n, pad[self.vidx[s]], pad[self.vidx[t]]),
+            r = np.zeros((n + 1, pad[self.vidx[s]], pad[self.vidx[t]]),
                          dtype=np.int64)
             for iu, u in enumerate(V):
                 m = self._right[(u, a)]
                 r[iu, :m.shape[1], :m.shape[0]] = m.T
             right.append(r)
+        dl = dims.tolist()
         self.comp: dict[tuple[str, str, str], np.ndarray] = {}
         for iv, v in enumerate(V):
-            sources = np.flatnonzero(dims[:, iv]).tolist()
-            ts = {w: np.empty((len(self.basis[(v, w)]), n, pad[iv],
-                               pad[self.vidx[w]]), dtype=np.int64)
-                  for w in V if self.basis[(v, w)]}
+            sv = src[iv]
+            lam = {w: stacks[kind[iv, iw]][slot[iv, iw]]
+                   for iw, w in enumerate(V) if nz[iv, iw]}
             for _, w, j, q in out[v]:
                 if q:
                     y = self.arrows[q[-1]][0]
-                    prefix = ts[y][index[(v, y)][q[:-1]]]
-                    np.remainder(np.matmul(prefix, right[q[-1]]), p,
-                                 out=ts[w][j])
+                    prefix = lam[y][index[(v, y)][q[:-1]]]
+                    np.remainder(np.matmul(prefix, right[q[-1]][sv]), p,
+                                 out=lam[w][j])
                 else:
                     # the identity of each Hom(u, v), padded
-                    ar = np.arange(pad[iv])
-                    ts[w][j] = ((ar[:, None] == ar)
-                                & (ar < dims[:, iv, None, None]))
-            for w, t in ts.items():
+                    e = np.arange(pad[iv])
+                    d = np.append(dims[:, iv], 0)[sv]
+                    lam[w][j] = (e[:, None] == e) & (e < d[:, None, None])
+            for w, t in lam.items():
                 iw = self.vidx[w]
-                for iu in sources:
+                for j, iu in enumerate(sv[:counts[iv]].tolist()):
                     self.comp[(V[iu], v, w)] = \
-                        t[:, iu, :dl[iu][iv], :dl[iu][iw]].copy()
+                        t[:, j, :dl[iu][iv], :dl[iu][iw]]
 
-    def _build_sigma(self) -> None:
+    @functools.cached_property
+    def sigma_map(self) -> dict[tuple[str, str], np.ndarray]:
+        """The suspension on each nonzero Hom(u, v): column i holds the
+        coordinates of sigma(basis_i(u, v)) over the Hom(sigma u, sigma v)
+        basis.  ``make_quiver`` checks that sigma maps arrows to arrows and
+        commutes with tau, so it maps the mesh relation at x to the one at
+        sigma x and acts bijectively on every Hom space."""
         sg = self.quiver.sigma
-        self._sigma_arrow = {}
-        for i, (s, t, _) in enumerate(self.arrows):
-            j = self._arrow_by_pair.get((sg[s], sg[t]))
-            if j is None:
-                raise ValidationError("sigma is not a quiver automorphism")
-            self._sigma_arrow[i] = j
-        self.sigma_map: dict[tuple[str, str], np.ndarray] = {}
+        arrow = [self._arrow_by_pair[(sg[s], sg[t])] for s, t, _ in self.arrows]
         p = self.field.p
-        for (u, v), b in self.basis.items():
-            if not b:
-                continue
-            su, sv = sg[u], sg[v]
-            cols = [
-                self.reduce_path(su, sv, tuple(self._sigma_arrow[a] for a in pp))
-                for pp in b
-            ]
-            m = np.stack(cols, axis=1) % p
-            if fast_rank(m, p) != len(b):
-                raise ValidationError(
-                    f"sigma does not act bijectively on Hom({u!r}, {v!r})"
-                )
-            self.sigma_map[(u, v)] = m
+        return {
+            (u, v): np.stack([
+                self.reduce_path(sg[u], sg[v], tuple(arrow[a] for a in pp))
+                for pp in b], axis=1) % p
+            for (u, v), b in self.basis.items() if b
+        }
 
     # ------------------------------------------------------------- validation
 
@@ -388,12 +415,14 @@ class MeshCategory:
         u -> v -> w -> z of nonzero Hom spaces; raises ValidationError
         naming a failing chain (the first source u in vertex order).
 
-        The sources u of Hom(u, v) != 0 are kept as a batch axis.  lam(v, w)
-        holds comp[(u, v, w)] for each such u as one slice of a tensor of
-        shape (dim Hom(v, w), width, pad[v], pad[w]), where pad[x] is the
-        largest dim Hom(u, x) over u, each block is zero-padded to it, and
-        width is one more than the most sources of any vertex, so the last
-        slice is always zero (see ``_source_stacks``).  For a triple
+        The sources u of Hom(u, v) != 0 are kept as a batch axis: the
+        check reads the stacks the build wrote, in which lam(v, w) holds
+        comp[(u, v, w)] for each such u as one slice of a tensor of shape
+        (dim Hom(v, w), width, pad[v], pad[w]), each block zero-padded, and
+        the last slice always zero (see ``_build_comp``).  The comp entries
+        are writable views of these blocks, which the program never writes;
+        an entry edited in place (as the corruption tests do) is checked as
+        edited.  For a triple
         (v, w, z) of nonzero Hom(v, w) and Hom(w, z), let lam'(w, z) be
         lam(w, z) with its slices moved to the sources of v (the zero slice
         for a source u of v with Hom(u, w) = 0).  The two sides
@@ -413,7 +442,8 @@ class MeshCategory:
         p = self.field.p
         V = self.verts
         dims = self.dims
-        stacks, kind, slot, src, pos = self._source_stacks()
+        stacks, kind, slot = self._stacks, self._kind, self._slot
+        src, pos = self._src, self._pos
         nz = dims > 0
         m = len(stacks) + 1
         # the triples (v, w, z) for a run of v at a time, at most about
@@ -469,66 +499,9 @@ class MeshCategory:
                             f"{V[w[k]]!r} -> {V[z[k]]!r}"
                         )
 
-    def _source_stacks(self):
-        """The tensors lam(v, w) of ``_check_associativity``, filled from
-        ``comp``: (stacks, kind, slot, src, pos).
-
-        src[v] lists the sources u of Hom(u, v) != 0 in vertex order, then
-        the sentinel |V|; pos[v, u] is the position of u in src[v], or the
-        last position when Hom(u, v) = 0 (also for u = |V|).  lam(v, w) is
-        row slot[v, w] of stack kind[v, w] (-1 when Hom(v, w) = 0), one
-        stack per shape, and its slice j along the second axis is
-        comp[(src[v, j], v, w)], padded; the slices past the sources of v
-        stay zero.  The stacks are int32: the blocks are reduced mod p on
-        the way in and p <= exactlin.MAX_CHAR = 97, so each product in the
-        check is at most 96^2 = 9216, and a side sums at most
-        pad[w] + dim Hom(v, z) of them.
-        """
-        n = len(self.verts)
-        dims = self.dims
-        nz = dims > 0
-        pad = dims.max(axis=0)
-        base = int(pad.max()) + 1
-        counts = nz.sum(axis=0)
-        width = int(counts.max()) + 1
-        xs, us = np.nonzero(nz.T)
-        js = np.arange(len(xs)) - np.repeat(np.cumsum(counts) - counts, counts)
-        src = np.full((n, width), n, dtype=np.intp)
-        src[xs, js] = us
-        pos = np.full((n, n + 1), width - 1, dtype=np.intp)
-        pos[xs, us] = js
-        pv, pw = np.nonzero(nz)
-        kind = np.full_like(dims, -1)
-        slot = np.zeros_like(dims)
-        stacks = []
-        for rows in _groups((dims[pv, pw] * base + pad[pv]) * base + pad[pw]):
-            v, w = pv[rows], pw[rows]
-            kind[v, w] = len(stacks)
-            slot[v, w] = np.arange(len(rows))
-            stacks.append(np.zeros((len(rows), dims[v[0], w[0]], width,
-                                    pad[v[0]], pad[w[0]]), dtype=np.int32))
-        # the blocks of comp, ASSOC_CELLS keys at a time, grouped by stack
-        # and block shape
-        keys, values = iter(self.comp), iter(self.comp.values())
-        for _ in range(0, len(self.comp), ASSOC_CELLS):
-            blocks = list(itertools.islice(values, ASSOC_CELLS))
-            ku, kv, kw = np.fromiter(
-                map(self.vidx.__getitem__, itertools.chain.from_iterable(
-                    itertools.islice(keys, ASSOC_CELLS))),
-                dtype=np.intp, count=3 * len(blocks)).reshape(-1, 3).T
-            for rows in _groups((kind[kv, kw] * base + dims[ku, kv]) * base
-                                + dims[ku, kw]):
-                u, v, w = ku[rows], kv[rows], kw[rows]
-                e, f = dims[u[0], v[0]], dims[u[0], w[0]]
-                if f:
-                    stacks[kind[v[0], w[0]]][slot[v, w], :, pos[v, u], :e,
-                                             :f] = np.concatenate(
-                        [blocks[r] for r in rows.tolist()]
-                    ).reshape(len(rows), -1, e, f) % self.field.p
-        return stacks, kind, slot, src, pos
-
     def check_stabilization(self) -> bool:
-        """Recompute with the length cap raised by one; dims must agree."""
+        """Rebuild with the length cap at ``radical_length + 1``; dims
+        must agree."""
         other = MeshCategory(self.field, self.quiver,
                              max_len_cap=self.radical_length + 1)
         return bool(np.array_equal(other.dims, self.dims))

@@ -360,8 +360,33 @@ def test_batched_comp_matches_per_source_build(kind, p):
     for key, t in ref.items():
         mine = cat.comp[key]
         assert (mine.dtype, mine.shape) == (t.dtype, t.shape), key
-        assert mine.flags.c_contiguous, key
         assert mine.tobytes() == t.tobytes(), key
+
+
+@pytest.mark.parametrize("kind,p", [("D6", 3), ("E6", 2)])
+def test_comp_entries_are_views_of_zero_padded_stacks(kind, p):
+    """The composition constants are stored once: each comp entry is a
+    view of the stack the associativity check reads, and every cell of a
+    stack outside the blocks of comp is zero (the padding of each block and
+    the slots past the sources of v), right after the build and again
+    after validate()."""
+    built = build(kind, PrimeField(p))
+    cat = mc.MeshCategory(built.field, built.quiver)
+    for _ in range(2):
+        stacks, kind_, slot, pos = cat._stacks, cat._kind, cat._slot, cat._pos
+        blocks = [np.zeros(s.shape, dtype=bool) for s in stacks]
+        for key, t in cat.comp.items():
+            u, v, w = (cat.vidx[x] for x in key)
+            # the base, not np.shares_memory: an empty entry shares no bytes
+            assert t.base is stacks[kind_[v, w]], key
+            blocks[kind_[v, w]][slot[v, w], :, pos[v, u],
+                                :cat.dims[u, v], :cat.dims[u, w]] = True
+        for s, b in zip(stacks, blocks):
+            assert not s[~b].any()
+        sources = (cat.dims > 0).sum(axis=0)
+        for v, w in zip(*np.nonzero(cat.dims)):
+            assert not stacks[kind_[v, w]][slot[v, w], :, sources[v]:].any()
+        cat.validate()
 
 
 # sha256 prefixes of basis, comp and sigma_map, recorded from the
@@ -689,3 +714,13 @@ def test_mesh_condition_validated():
     with pytest.raises(mc.ValidationError, match="mesh structure"):
         mc.make_quiver(["a", "b"], [("a", "b", "x")],
                        {"a": "b", "b": "a"})
+
+
+def test_sigma_must_commute_with_tau():
+    """With no arrows every permutation acts on the quiver, but sigma =
+    (1 2) does not commute with tau = (0 1), so it is no suspension."""
+    spec = {"field_char": 2, "vertices": ["0", "1", "2"], "arrows": [],
+            "tau": {"0": "1", "1": "0", "2": "2"},
+            "sigma": {"0": "0", "1": "2", "2": "1"}}
+    with pytest.raises(mc.ValidationError, match="commute with tau"):
+        mc.from_spec(spec)
