@@ -182,7 +182,7 @@ def _cmd_axioms(args) -> int:
     budget = _budget(args)
     cat = _build_category(args)
     rigid = _rigid_for(args, cat)
-    rep = oracle.run_axiom_suite(cat, rigid, budget=budget, seed=args.seed)
+    rep = oracle.run_axiom_suite(cat, rigid, budget=budget)
     return _emit(args, rep)
 
 
@@ -190,14 +190,14 @@ def _cmd_lemmas(args) -> int:
     cat = _build_category(args)
     rigid = _rigid_for(args, cat)
     rep = oracle.lemma_equivalence_suite(cat, rigid, max_summands=2,
-                                         seed=args.seed, gen_a_total=2)
+                                         gen_a_total=2)
     return _emit(args, rep)
 
 
 def _cmd_equivalence(args) -> int:
     cat = _build_category(args)
     rigid = _rigid_for(args, cat)
-    rep = endalg.check_equivalence(rigid, pair_total=2, seed=args.seed)
+    rep = endalg.check_equivalence(rigid, pair_total=2)
     return _emit(args, rep)
 
 

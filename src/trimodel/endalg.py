@@ -153,14 +153,16 @@ EXPLICIT_PAIRS = 25
 
 
 def check_equivalence(rigid: RigidStructure, pair_total: int = 2,
-                      seed: int = 0) -> Report:
+                      seed: int | None = None) -> Report:
     """Stable Hom vs module Hom over all pairs of cofibrant objects within
     the summand bound.
 
     The induced map is blockwise over summand pairs (the functor is
     additive), so the per-vertex-pair data decides every pair exactly; a
     sample of pairs is additionally verified by assembling the full induced
-    map and rank-checking it (``EXPLICIT_PAIRS`` of them at most)."""
+    map and rank-checking it (``EXPLICIT_PAIRS`` of them at most).  seed,
+    which draws those pairs, defaults to the structure's."""
+    seed = rigid.seed if seed is None else seed
     cat = rigid.cat
     p = cat.field.p
     mods = {v: module_of(rigid, Obj((v,))) for v in rigid.ts_ind}

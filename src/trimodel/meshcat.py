@@ -499,27 +499,10 @@ class MeshCategory:
                             f"{V[w[k]]!r} -> {V[z[k]]!r}"
                         )
 
-    def check_stabilization(self) -> bool:
-        """Rebuild with the length cap at ``radical_length + 1``; dims
-        must agree."""
-        other = MeshCategory(self.field, self.quiver,
-                             max_len_cap=self.radical_length + 1)
-        return bool(np.array_equal(other.dims, self.dims))
-
     # ------------------------------------------------------------------ query
 
     def hom_dim(self, u: str, v: str) -> int:
         return int(self.dims[self.vidx[u], self.vidx[v]])
-
-    def compose_basis(self, f: tuple[str, str, int], g: tuple[str, str, int]) -> np.ndarray:
-        """Coefficients of (class g: v -> w) . (class f: u -> v) over Hom(u, w)."""
-        (u, v, i), (v2, w, j) = f, g
-        if v != v2:
-            raise ValueError(f"endpoint mismatch: {v!r} != {v2!r}")
-        tensor = self.comp.get((u, v, w))
-        if tensor is None:
-            return np.zeros(self.hom_dim(u, w), dtype=np.int64)
-        return tensor[j, i].copy()
 
     def sigma_vertex(self, v: str) -> str:
         return self.quiver.sigma[v]

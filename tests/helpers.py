@@ -5,7 +5,8 @@ import numpy as np
 
 from trimodel import addcat as ac
 from trimodel import endalg as ea
-from trimodel.exactlin import array_solve, fast_rank
+from trimodel import meshcat as mc
+from trimodel.exactlin import array_kernel, array_solve, fast_rank
 from trimodel.oracle import objects_up_to
 from trimodel.report import Report
 
@@ -41,6 +42,49 @@ def per_source_comp(cat) -> dict:
                     ts[w][j] = np.eye(d, dtype=np.int64)
             comp.update(((u, v, w), t) for w, t in ts.items())
     return comp
+
+
+def in_span(cols: np.ndarray, coeffs: np.ndarray, p: int) -> np.ndarray:
+    """Mask of the rows of coeffs lying in the column span of cols: rows
+    killed by every vector of the annihilator of that span.  The
+    whole-object reference for the lemma suite's blockwise masks."""
+    ann = array_kernel(cols.T, p)
+    if not ann:
+        return np.ones(len(coeffs), dtype=bool)
+    return ~np.any(coeffs @ np.stack(ann, axis=1) % p, axis=1)
+
+
+def whole_object_masks(rigid, x: ac.Obj, y: ac.Obj,
+                       coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(in_ideal, solvable) for the rows of coeffs, morphisms x -> y: span
+    membership in the perp ideal of Hom(x, y), and in the image of
+    Hom(a, y), a the tautological left perp-approximation of x, each from
+    the annihilator of a whole-object matrix."""
+    p = rigid.cat.field.p
+    a = rigid.tautological_approx(x, "left", "perp")
+    return (in_span(rigid.ideal_span_matrix("perp", x, y), coeffs, p),
+            in_span(ac.right_mul_matrix(a, y), coeffs, p))
+
+
+def check_stabilization(cat) -> bool:
+    """Rebuild with the length cap at ``radical_length + 1``; dims must
+    agree."""
+    other = mc.MeshCategory(cat.field, cat.quiver,
+                            max_len_cap=cat.radical_length + 1)
+    return bool(np.array_equal(other.dims, cat.dims))
+
+
+def compose_basis(cat, f: tuple[str, str, int],
+                  g: tuple[str, str, int]) -> np.ndarray:
+    """Coefficients of (class g: v -> w) . (class f: u -> v) over
+    Hom(u, w)."""
+    (u, v, i), (v2, w, j) = f, g
+    if v != v2:
+        raise ValueError(f"endpoint mismatch: {v!r} != {v2!r}")
+    tensor = cat.comp.get((u, v, w))
+    if tensor is None:
+        return np.zeros(cat.hom_dim(u, w), dtype=np.int64)
+    return tensor[j, i].copy()
 
 
 def sigma_mor(f: ac.Mor) -> ac.Mor:

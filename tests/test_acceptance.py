@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 
+from helpers import check_stabilization
 from trimodel import addcat as ac
 from trimodel import d4scenario as d4
 from trimodel import endalg as ea
@@ -240,6 +241,6 @@ def test_criterion_8_build_validation(cat_d4):
         for v in cat.verts:
             assert cat.hom_dim(v, cat.sigma_vertex(v)) == 0
         cat.validate()          # mesh vanishing + associativity, exhaustive
-        assert cat.check_stabilization()
+        assert check_stabilization(cat)
     _line(8, True, "knitted and polygon models agree for ranks 2-4; "
           "rigidity, mesh, associativity and stabilization hold")

@@ -15,6 +15,7 @@ import itertools
 import numpy as np
 import pytest
 
+from helpers import whole_object_masks
 from trimodel import addcat as ac
 from trimodel import endalg as ea
 from trimodel import meshcat as mc
@@ -194,8 +195,8 @@ def per_morphism_suite(cat, rigid, max_summands=2, seed=0, gen_mult_bound=2,
 
 def batched_records(cat, rigid, max_summands=2, seed=0, gen_mult_bound=2,
                     gen_a_total=None):
-    """The same records, from the batched building blocks of the suite."""
-    p = cat.field.p
+    """The same records, from the batched building blocks of the suite and
+    the whole-object span masks."""
     pool = oracle.objects_up_to(cat, max_summands)
     spaces, _ = oracle._hom_spaces(rigid, pool, np.random.default_rng(seed))
     n_pairs = len(oracle._generator_rows(rigid, gen_mult_bound, gen_a_total))
@@ -204,10 +205,7 @@ def batched_records(cat, rigid, max_summands=2, seed=0, gen_mult_bound=2,
     records = []
     for (x, y, coeffs), fail, (weq, fib, zero) in zip(
             spaces, fails, rigid.class_masks(spaces)):
-        in_ideal = oracle._in_span(rigid.ideal_span_matrix("perp", x, y),
-                                   coeffs, p)
-        a = rigid.tautological_approx(x, "left", "perp")
-        solvable = oracle._in_span(ac.right_mul_matrix(a, y), coeffs, p)
+        in_ideal, solvable = whole_object_masks(rigid, x, y, coeffs)
         rest = rigid.split_mono_complement(x, y)
         for n, vec in enumerate(coeffs):
             wcof = rest is not None and ac.find_retraction(
@@ -529,3 +527,52 @@ def test_generator_rows_are_one_per_orbit(monkeypatch, kind, p, key, mult,
     monkeypatch.setattr(oracle, "ORBIT_CELLS", 4)
     assert len(maps) > 1 and len(every) > 4
     assert np.array_equal(oracle._orbit_labels(every, maps, p), want)
+
+
+# (kind, p, rigid set, ENUM_EXP_CAP): the D4 set has two-dimensional
+# blocks, and a cap of 2 samples every A3 space of dimension 3 or more, so
+# drawn rows go through the blockwise masks too
+MASK_CASES = ([("A2", 3, key, None) for key in _a2_sets()]
+              + [("A3", 2, key, None) for key in _a3_subset()]
+              + [("D4", 2, "M1100,M0100,SP3", None),
+                 ("A3", 2, "13,15,35", 2)])
+
+
+@pytest.mark.parametrize("kind,p,key,cap", MASK_CASES,
+                         ids=[f"{k}-p{p}-{t}-cap{c}"
+                              for k, p, t, c in MASK_CASES])
+def test_blockwise_masks_match_whole_object_masks(monkeypatch, kind, p, key,
+                                                  cap):
+    if cap is not None:
+        monkeypatch.setattr(rm, "ENUM_EXP_CAP", cap)
+        monkeypatch.setattr(rm, "SAMPLE_COUNT", 40)
+    cat = _tensor_cat("D4", p) if kind == "D4" else _cat(int(kind[1]), p)
+    rigid = rm.build_rigid(cat, key.split(","))
+    pool = oracle.objects_up_to(cat, 2)
+    spaces, exhaustive = oracle._hom_spaces(rigid, pool,
+                                            np.random.default_rng(0))
+    assert exhaustive == (cap is None)
+    seen = set()
+    for lo in range(0, len(spaces), len(pool)):
+        chunk = spaces[lo:lo + len(pool)]
+        got = oracle._ideal_masks(rigid, chunk)
+        want = [np.concatenate(m) for m in
+                zip(*(whole_object_masks(rigid, *s) for s in chunk))]
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+            seen.update(w.tolist())
+    assert seen == {False, True}
+
+
+def test_shared_coefficient_rows_are_read_only():
+    cat = _cat(2, 2)
+    rigid = rm.build_rigid(cat, ["13"])
+    spaces, exhaustive = oracle._hom_spaces(
+        rigid, oracle.objects_up_to(cat, 2), np.random.default_rng(0))
+    assert exhaustive
+    shared = {id(c): c for _, _, c in spaces}
+    assert len(shared) < len(spaces)
+    for coeffs in shared.values():
+        assert not coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            coeffs[...] = 0

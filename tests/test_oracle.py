@@ -350,3 +350,18 @@ def test_lemma_suite_one_rank_up_a4_cluster_tilting():
     assert all(c.details == "exhaustive" for c in rep.checks
                if c.name.startswith(("lemma-ideal", "lemma-generating")))
     assert elapsed < 60, elapsed
+
+
+def test_suites_default_to_the_structure_seed(cat):
+    """A suite called without a seed draws as with the structure's."""
+    from trimodel import endalg
+    seeded = rm.build_rigid(cat, ["13"], seed=3)
+    suites = (
+        lambda **kw: oracle.run_axiom_suite(cat, seeded, budget=30, **kw),
+        lambda **kw: oracle.lemma_equivalence_suite(cat, seeded,
+                                                    gen_a_total=2, **kw),
+        lambda **kw: endalg.check_equivalence(seeded, pair_total=1, **kw))
+    for run in suites:
+        got = emit_report(run(), "json")
+        assert got == emit_report(run(seed=3), "json")
+        assert got != emit_report(run(seed=0), "json")
